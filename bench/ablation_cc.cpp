@@ -90,9 +90,9 @@ int main(int argc, char** argv) {
     for (const bool heavy : {false, true}) {
       for (const Row& row : rows) {
         for (int i = 0; i < runs; ++i, ++cell) {
-          const std::uint64_t seed = args.seed + static_cast<std::uint64_t>(i) * 13;
+          const std::uint64_t seed = args.env.seed + static_cast<std::uint64_t>(i) * 13;
           pool.submit([&cells, cell, seed, algorithm = row.algorithm, heavy,
-                       obs_opts = args.obs()] {
+                       obs_opts = args.env.obs] {
             cells[cell] = run_one(seed, algorithm, heavy, obs_opts);
           });
         }

@@ -103,9 +103,9 @@ int main(int argc, char** argv) {
         const std::size_t cell = p * static_cast<std::size_t>(args.seeds) +
                                  static_cast<std::size_t>(s);
         const std::uint64_t seed =
-            runner::cell_seed(args.seed, static_cast<std::uint64_t>(s));
+            runner::cell_seed(args.env.seed, static_cast<std::uint64_t>(s));
         const Duration penalty = Duration::from_millis(penalties_ms[p]);
-        pool.submit([&cells, cell, seed, penalty, obs_opts = args.obs()] {
+        pool.submit([&cells, cell, seed, penalty, obs_opts = args.env.obs] {
           cells[cell] = probe_phase_fold(seed, penalty, obs_opts);
         });
       }

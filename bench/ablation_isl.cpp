@@ -17,7 +17,7 @@ int main(int argc, char** argv) {
   bench::banner("Ablation: ISLs", "bent-pipe (measured) vs ISL routing (model)");
 
   measure::PingCampaign::Config config;
-  config.seed = args.seed;
+  config.seed = args.env.seed;
   config.duration = Duration::hours(static_cast<std::int64_t>(12 * args.scale));
   config.cadence = Duration::minutes(5);
   config.epochs = false;

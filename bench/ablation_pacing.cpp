@@ -20,7 +20,7 @@ int main(int argc, char** argv) {
   obs::Snapshot all_obs;
   for (const bool pacing : {false, true}) {
     measure::MessageCampaign::Config config;
-    config.seed = args.seed;
+    config.seed = args.env.seed;
     config.upload = true;
     config.sessions = args.scaled(4);
     config.pacing = pacing;

@@ -19,7 +19,7 @@ int main(int argc, char** argv) {
   obs::Snapshot all_obs;
   for (const int connections : {1, 2, 4, 8, 16}) {
     measure::SpeedtestCampaign::Config config;
-    config.seed = args.seed;
+    config.seed = args.env.seed;
     config.access = measure::AccessKind::kStarlink;
     config.tests = args.scaled(8);
     config.connections = connections;

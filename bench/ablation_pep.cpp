@@ -19,12 +19,12 @@ int main(int argc, char** argv) {
   obs::Snapshot all_obs;
   for (const bool pep : {true, false}) {
     measure::SpeedtestCampaign::Config st_config;
-    st_config.seed = args.seed;
+    st_config.seed = args.env.seed;
     st_config.access = measure::AccessKind::kSatCom;
     st_config.tests = args.scaled(5);
     st_config.satcom_pep = pep;
     measure::WebCampaign::Config web_config;
-    web_config.seed = args.seed + 1;
+    web_config.seed = args.env.seed + 1;
     web_config.access = measure::AccessKind::kSatCom;
     web_config.visits = args.scaled(12);
     web_config.satcom_pep = pep;

@@ -44,6 +44,7 @@
 #include <string>
 
 #include "fleet/fleet.hpp"
+#include "measure/testbed.hpp"
 #include "obs/recorder.hpp"
 #include "runner/sweep.hpp"
 #include "scenario/scenario.hpp"
@@ -142,7 +143,6 @@ inline fleet::Fleet::Config parse_fleet(const Flags& flags) {
 }
 
 struct CommonArgs {
-  std::uint64_t seed = 1;
   double scale = 1.0;
   int seeds = 1;  ///< seed replications per campaign (cells of the sweep)
   int jobs = 1;   ///< worker threads; 0 = hardware concurrency
@@ -150,14 +150,17 @@ struct CommonArgs {
   std::string trace;            ///< --trace=PATH; empty = tracing off
   std::string breakdown;        ///< --breakdown=PATH; empty = no export
   std::string flight;           ///< --flight=PATH; empty = no export
-  bool provenance = false;      ///< --provenance=1 or implied by the above
-  bool profile = false;         ///< --profile=1 wall-clock subsystem sections
-  Duration sample_interval = Duration::zero();  ///< zero = sampling off
-  /// --scenario=PATH, already loaded/validated/offset; null = clear sky.
-  std::shared_ptr<const scenario::Scenario> scenario;
-  /// --fast-forward=0 runs the packet-level reference paths (same exports,
-  /// several times slower; see EXPERIMENTS.md "Performance baseline").
-  bool fast_forward = true;
+  /// The run environment of every cell:
+  ///   * seed: --seed, the base the bench offsets per campaign;
+  ///   * obs: what the export flags above, --provenance, --profile and
+  ///     --sample-interval imply;
+  ///   * scenario: --scenario=PATH, already loaded/validated/offset (null =
+  ///     clear sky);
+  ///   * fast_forward: --fast-forward=0 runs the packet-level reference
+  ///     paths (same exports, several times slower; EXPERIMENTS.md
+  ///     "Performance baseline");
+  ///   * fleet: empty here; benches that take --fleet fill it.
+  measure::RunEnv env;
 
   static CommonArgs parse(int argc, char** argv) {
     const Flags flags = Flags::parse(argc, argv);
@@ -170,7 +173,7 @@ struct CommonArgs {
   /// read theirs afterwards and then call warn_unused themselves.
   static CommonArgs parse(const Flags& flags) {
     CommonArgs args;
-    args.seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
+    args.env.seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
     args.scale = flags.get_double("scale", 1.0);
     args.seeds = std::max(1, static_cast<int>(flags.get_int("seeds", 1)));
     args.jobs = std::max(0, static_cast<int>(flags.get_int("jobs", 1)));
@@ -178,21 +181,24 @@ struct CommonArgs {
     args.trace = flags.get("trace", "");
     args.breakdown = flags.get("breakdown", "");
     args.flight = flags.get("flight", "");
-    args.provenance = flags.get_bool("provenance", false) || !args.breakdown.empty() ||
-                      !args.flight.empty();
-    args.profile = flags.get_bool("profile", false);
-    args.sample_interval =
+    obs::Options& obs = args.env.obs;
+    obs.metrics = !args.metrics.empty();
+    obs.trace = !args.trace.empty();
+    obs.provenance = flags.get_bool("provenance", false) || !args.breakdown.empty() ||
+                     !args.flight.empty();
+    obs.profile = flags.get_bool("profile", false);
+    obs.sample_interval =
         std::max(Duration::zero(), flags.get_duration("sample-interval", Duration::zero()));
-    args.fast_forward = flags.get_bool("fast-forward", true);
+    args.env.fast_forward = flags.get_bool("fast-forward", true);
     const std::string scenario_path = flags.get("scenario", "");
     const Duration scenario_offset = flags.get_duration("scenario-offset", Duration::zero());
     if (!scenario_path.empty()) {
       try {
         auto scn = scenario::Scenario::load(scenario_path);
         if (scenario_offset != Duration::zero()) scn.shift(scenario_offset);
-        args.scenario = std::make_shared<const scenario::Scenario>(std::move(scn));
-        std::printf("scenario: %s (%zu events) from %s\n", args.scenario->name.c_str(),
-                    args.scenario->events.size(), scenario_path.c_str());
+        args.env.scenario = std::make_shared<const scenario::Scenario>(std::move(scn));
+        std::printf("scenario: %s (%zu events) from %s\n", args.env.scenario->name.c_str(),
+                    args.env.scenario->events.size(), scenario_path.c_str());
       } catch (const scenario::ScenarioError& e) {
         std::fprintf(stderr, "error: --scenario=%s: %s\n", scenario_path.c_str(), e.what());
         std::exit(2);
@@ -208,17 +214,6 @@ struct CommonArgs {
   }
 
   [[nodiscard]] runner::SweepConfig sweep() const { return {seeds, jobs}; }
-
-  /// Per-cell observability options implied by the flags.
-  [[nodiscard]] obs::Options obs() const {
-    obs::Options opts;
-    opts.metrics = !metrics.empty();
-    opts.trace = !trace.empty();
-    opts.provenance = provenance;
-    opts.profile = profile;
-    if (sample_interval > Duration::zero()) opts.sample_interval = sample_interval;
-    return opts;
-  }
 };
 
 inline void write_text_file(const std::string& path, const std::string& body) {
@@ -263,15 +258,17 @@ inline void write_obs(const CommonArgs& args, const obs::Snapshot& snap) {
 /// Runs `config` once per seed cell (runner/sweep.hpp) and folds the results
 /// in cell-id order — the drop-in replacement for `Campaign::run(config)`
 /// in every regenerator. With --seeds=1 (the default) the output is exactly
-/// the single-seed campaign, whatever --jobs says. The bench's obs flags and
-/// --scenario timeline are injected into every cell; the merged Result
-/// carries the folded snapshot.
+/// the single-seed campaign, whatever --jobs says. Every cell runs in the
+/// bench's environment (`args.env`) at the config's own seed; the merged
+/// Result carries the folded snapshot. Field by field, because
+/// fleet::FleetCampaign has the same knobs without deriving from RunEnv.
 template <typename Campaign>
 [[nodiscard]] typename Campaign::Result run_sweep(const CommonArgs& args,
                                                   typename Campaign::Config config) {
-  config.obs = args.obs();
-  config.scenario = args.scenario;
-  config.fast_forward = args.fast_forward;
+  config.obs = args.env.obs;
+  config.scenario = args.env.scenario;
+  config.fleet = args.env.fleet;
+  config.fast_forward = args.env.fast_forward;
   return runner::run_merged<Campaign>(args.sweep(), config);
 }
 

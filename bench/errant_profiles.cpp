@@ -18,23 +18,23 @@ int main(int argc, char** argv) {
 
   // Gather Starlink samples: throughput from speedtests, RTT from pings.
   measure::SpeedtestCampaign::Config down_cfg;
-  down_cfg.seed = args.seed;
+  down_cfg.seed = args.env.seed;
   down_cfg.tests = args.scaled(8);
-  down_cfg.obs = args.obs();
+  down_cfg.obs = args.env.obs;
   const auto down = measure::SpeedtestCampaign::run(down_cfg);
 
   measure::SpeedtestCampaign::Config up_cfg;
-  up_cfg.seed = args.seed + 1;
+  up_cfg.seed = args.env.seed + 1;
   up_cfg.tests = args.scaled(8);
   up_cfg.download = false;
-  up_cfg.obs = args.obs();
+  up_cfg.obs = args.env.obs;
   const auto up = measure::SpeedtestCampaign::run(up_cfg);
 
   measure::PingCampaign::Config ping_cfg;
-  ping_cfg.seed = args.seed + 2;
+  ping_cfg.seed = args.env.seed + 2;
   ping_cfg.duration = Duration::hours(6);
   ping_cfg.epochs = false;
-  ping_cfg.obs = args.obs();
+  ping_cfg.obs = args.env.obs;
   const auto pings = measure::PingCampaign::run(ping_cfg);
   stats::Samples eu_rtts;
   for (const auto& anchor : pings.anchors) {
@@ -42,9 +42,9 @@ int main(int argc, char** argv) {
   }
 
   measure::MessageCampaign::Config msg_cfg;
-  msg_cfg.seed = args.seed + 3;
+  msg_cfg.seed = args.env.seed + 3;
   msg_cfg.sessions = 2;
-  msg_cfg.obs = args.obs();
+  msg_cfg.obs = args.env.obs;
   const auto messages = measure::MessageCampaign::run(msg_cfg);
 
   const emu::ErrantProfile starlink = emu::ErrantProfile::fit(
@@ -68,7 +68,7 @@ int main(int argc, char** argv) {
   // Validation: samples drawn from the fitted profile should be
   // statistically indistinguishable from the campaign measurements (KS).
   {
-    Rng vrng{args.seed + 99};
+    Rng vrng{args.env.seed + 99};
     std::vector<double> fitted_draws;
     for (std::size_t i = 0; i < down.mbps.size() * 50; ++i) {
       fitted_draws.push_back(starlink.sample(vrng).rate_down.to_mbps());
@@ -79,7 +79,7 @@ int main(int argc, char** argv) {
                                   : "distributions differ (small campaign sample)");
   }
 
-  Rng rng{args.seed};
+  Rng rng{args.env.seed};
   std::printf("\nthree sampled emulation instances:\n");
   for (int i = 0; i < 3; ++i) {
     const auto params = starlink.sample(rng);

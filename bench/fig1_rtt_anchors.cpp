@@ -25,12 +25,12 @@ int run_multivantage(const slp::bench::CommonArgs& args, const slp::Flags& flags
                 "the 11 anchor metros as measured terminals in one fleet");
 
   measure::MultiVantageCampaign::Config config;
-  config.seed = args.seed;
+  config.seed = args.env.seed;
   config.duration = flags.get_duration(
       "duration", Duration::hours(static_cast<std::int64_t>(24 * args.scale)));
   config.cadence = Duration::minutes(5);
-  config.fleet = bench::parse_fleet(flags);
-  config.obs = args.obs();
+  config.fleet = args.env.fleet;
+  config.obs = args.env.obs;
   bench::warn_unused(flags);
 
   const auto result =
@@ -69,19 +69,19 @@ int run_multivantage(const slp::bench::CommonArgs& args, const slp::Flags& flags
 int main(int argc, char** argv) {
   using namespace slp;
   const Flags flags = Flags::parse(argc, argv);
-  const auto args = bench::CommonArgs::parse(flags);
+  auto args = bench::CommonArgs::parse(flags);
+  args.env.fleet = bench::parse_fleet(flags);
   if (flags.get_bool("multivantage", false)) return run_multivantage(args, flags);
 
   bench::banner("Figure 1", "RTT distribution towards the 11 anchors (ping)");
 
   measure::PingCampaign::Config config;
-  config.seed = args.seed;
+  config.seed = args.env.seed;
   // Compressed campaign: same 5-minute cadence, fewer days (scale with
   // --scale; 1.0 ~ 2 days of pings, plenty for stable quantiles).
   config.duration = Duration::hours(static_cast<std::int64_t>(48 * args.scale));
   config.cadence = Duration::minutes(5);
   config.epochs = false;  // Figure 1 aggregates; epochs belong to Figure 2
-  config.fleet = bench::parse_fleet(flags);
   bench::warn_unused(flags);
   const auto result = bench::run_sweep<measure::PingCampaign>(args, config);
 

@@ -14,25 +14,25 @@
 int main(int argc, char** argv) {
   using namespace slp;
   const Flags flags = Flags::parse(argc, argv);
-  const auto args = bench::CommonArgs::parse(flags);
+  auto args = bench::CommonArgs::parse(flags);
   // --fleet=N replaces the synthetic shared-cell load under the ping rounds
   // with N simulated terminals contending for real per-cell capacity
   // (src/fleet/); 0 keeps the paper-calibrated LoadProcess.
-  const int fleet_size = static_cast<int>(flags.get_int("fleet", 0));
+  args.env.fleet.size = static_cast<int>(flags.get_int("fleet", 0));
   bench::warn_unused(flags);
   bench::banner("Figure 2", "RTT to European anchors over the campaign timeline");
-  if (fleet_size > 0) {
-    std::printf("shared-cell load: real contention from a %d-terminal fleet\n", fleet_size);
+  if (args.env.fleet.size > 0) {
+    std::printf("shared-cell load: real contention from a %d-terminal fleet\n",
+                args.env.fleet.size);
   }
 
   measure::PingCampaign::Config config;
-  config.seed = args.seed;
+  config.seed = args.env.seed;
   config.duration = Duration::days(146);
   // Compressed cadence (the paper pinged every 5 minutes; we default to a
   // sparser grid over the full timeline — same bins, fewer samples per bin).
   config.cadence = Duration::minutes(static_cast<std::int64_t>(120 / args.scale));
   config.epochs = true;
-  config.fleet.size = fleet_size;
   const auto result = bench::run_sweep<measure::PingCampaign>(args, config);
 
   // One row per ~6-day stride of 6h bins to keep the series readable.

@@ -20,11 +20,11 @@
 int main(int argc, char** argv) {
   using namespace slp;
   auto args = bench::CommonArgs::parse(argc, argv);
-  args.provenance = true;  // the decomposition IS the figure
+  args.env.obs.provenance = true;  // the decomposition IS the figure
   bench::banner("Figure 2b", "RTT decomposition of the European-anchor timeline");
 
   measure::PingCampaign::Config config;
-  config.seed = args.seed;
+  config.seed = args.env.seed;
   config.duration = Duration::days(146);
   config.cadence = Duration::minutes(static_cast<std::int64_t>(120 / args.scale));
   config.epochs = true;

@@ -32,11 +32,13 @@ int main(int argc, char** argv) {
   // --fleet=N replaces the synthetic shared-cell load under the H3 transfers
   // with N simulated terminals contending for real per-cell capacity
   // (src/fleet/); 0 keeps the paper-calibrated LoadProcess.
-  const int fleet_size = static_cast<int>(flags.get_int("fleet", 0));
+  bench::CommonArgs h3_args = args;
+  h3_args.env.fleet.size = static_cast<int>(flags.get_int("fleet", 0));
   bench::warn_unused(flags);
   bench::banner("Figure 3 / §3.1", "RTT under load: H3 bulk and messages, both directions");
-  if (fleet_size > 0) {
-    std::printf("shared-cell load: real contention from a %d-terminal fleet\n", fleet_size);
+  if (h3_args.env.fleet.size > 0) {
+    std::printf("shared-cell load: real contention from a %d-terminal fleet\n",
+                h3_args.env.fleet.size);
   }
 
   stats::TextTable table{{"workload", "samples", "median", "p95", "p99", "paper med/p95/p99"}};
@@ -44,28 +46,26 @@ int main(int argc, char** argv) {
 
   {
     measure::H3Campaign::Config config;
-    config.seed = args.seed;
+    config.seed = args.env.seed;
     config.download = true;
     config.transfers = args.scaled(6);
-    config.fleet.size = fleet_size;
-    const auto down = bench::run_sweep<measure::H3Campaign>(args, config);
+    const auto down = bench::run_sweep<measure::H3Campaign>(h3_args, config);
     obs::merge(all_obs, down.obs);
     print_row(table, "H3 download", down.rtt_ms, "95 / 175 / 210");
   }
   {
     measure::H3Campaign::Config config;
-    config.seed = args.seed + 1;
+    config.seed = args.env.seed + 1;
     config.download = false;
     config.transfers = args.scaled(3);
-    config.fleet.size = fleet_size;
     config.bytes = 40ull * 1000 * 1000;  // uploads at ~17 Mbit/s take a while
-    const auto up = bench::run_sweep<measure::H3Campaign>(args, config);
+    const auto up = bench::run_sweep<measure::H3Campaign>(h3_args, config);
     obs::merge(all_obs, up.obs);
     print_row(table, "H3 upload", up.rtt_ms, "104 / 237 / 310");
   }
   {
     measure::MessageCampaign::Config config;
-    config.seed = args.seed + 2;
+    config.seed = args.env.seed + 2;
     config.upload = false;
     config.sessions = args.scaled(4);
     const auto down = bench::run_sweep<measure::MessageCampaign>(args, config);
@@ -74,7 +74,7 @@ int main(int argc, char** argv) {
   }
   {
     measure::MessageCampaign::Config config;
-    config.seed = args.seed + 3;
+    config.seed = args.env.seed + 3;
     config.upload = true;
     config.sessions = args.scaled(4);
     const auto up = bench::run_sweep<measure::MessageCampaign>(args, config);

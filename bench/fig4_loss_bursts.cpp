@@ -31,39 +31,35 @@ void print_cdf(const char* name, const slp::stats::IntHistogram& bursts) {
 int main(int argc, char** argv) {
   using namespace slp;
   const Flags flags = Flags::parse(argc, argv);
-  const auto args = bench::CommonArgs::parse(flags);
+  auto args = bench::CommonArgs::parse(flags);
   // --fleet=N puts simulated neighbour contention under all four transfers
   // (plus the continental/aggregation knobs, bench_common.hpp).
-  const fleet::Fleet::Config fleet_config = bench::parse_fleet(flags);
+  args.env.fleet = bench::parse_fleet(flags);
   bench::warn_unused(flags);
   bench::banner("Figure 4", "loss burst length distributions (H3 vs messages)");
 
   measure::H3Campaign::Config h3_down_cfg;
-  h3_down_cfg.seed = args.seed;
+  h3_down_cfg.seed = args.env.seed;
   h3_down_cfg.transfers = args.scaled(6);
-  h3_down_cfg.fleet = fleet_config;
   const auto h3_down = bench::run_sweep<measure::H3Campaign>(args, h3_down_cfg);
 
   measure::H3Campaign::Config h3_up_cfg;
-  h3_up_cfg.seed = args.seed + 1;
+  h3_up_cfg.seed = args.env.seed + 1;
   h3_up_cfg.download = false;
   h3_up_cfg.transfers = args.scaled(3);
   h3_up_cfg.bytes = 40ull * 1000 * 1000;
-  h3_up_cfg.fleet = fleet_config;
   const auto h3_up = bench::run_sweep<measure::H3Campaign>(args, h3_up_cfg);
 
   measure::MessageCampaign::Config msg_down_cfg;
-  msg_down_cfg.seed = args.seed + 2;
+  msg_down_cfg.seed = args.env.seed + 2;
   msg_down_cfg.upload = false;
   msg_down_cfg.sessions = args.scaled(6);
-  msg_down_cfg.fleet = fleet_config;
   const auto msg_down = bench::run_sweep<measure::MessageCampaign>(args, msg_down_cfg);
 
   measure::MessageCampaign::Config msg_up_cfg;
-  msg_up_cfg.seed = args.seed + 3;
+  msg_up_cfg.seed = args.env.seed + 3;
   msg_up_cfg.upload = true;
   msg_up_cfg.sessions = args.scaled(6);
-  msg_up_cfg.fleet = fleet_config;
   const auto msg_up = bench::run_sweep<measure::MessageCampaign>(args, msg_up_cfg);
 
   std::printf("(a) H3 transfers — paper: uploads mostly single-packet events; "

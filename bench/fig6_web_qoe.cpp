@@ -16,11 +16,11 @@
 int main(int argc, char** argv) {
   using namespace slp;
   const Flags flags = Flags::parse(argc, argv);
-  const auto args = bench::CommonArgs::parse(flags);
+  auto args = bench::CommonArgs::parse(flags);
   // --fleet=N loads the Starlink cells with simulated neighbours for the
   // Starlink rows (plus the continental/aggregation knobs, bench_common.hpp);
   // SatCom/wired accesses ignore it.
-  const fleet::Fleet::Config fleet_config = bench::parse_fleet(flags);
+  args.env.fleet = bench::parse_fleet(flags);
   bench::warn_unused(flags);
   bench::banner("Figure 6", "web QoE: onLoad and SpeedIndex across accesses");
 
@@ -43,10 +43,9 @@ int main(int argc, char** argv) {
 
   for (const Row& row : rows) {
     measure::WebCampaign::Config config;
-    config.seed = args.seed;
+    config.seed = args.env.seed;
     config.access = row.access;
     config.visits = row.visits;
-    config.fleet = fleet_config;
     const auto result = bench::run_sweep<measure::WebCampaign>(args, config);
     results.push_back(result);
     using stats::TextTable;

@@ -88,13 +88,13 @@ void report(const std::string& name, const measure::RoadTripCampaign::Result& r)
 
 int main(int argc, char** argv) {
   const Flags flags = Flags::parse(argc, argv);
-  const auto args = bench::CommonArgs::parse(flags);
+  auto args = bench::CommonArgs::parse(flags);
   const std::string only_route = flags.get("route", "");
   const double speed = flags.get_double("speed", 1.0);
   const Duration cadence = flags.get_duration("cadence", Duration::seconds(1));
   const Duration duration = flags.get_duration("duration", Duration::zero());
   const bool obstructions = flags.get_bool("obstructions", true);
-  const int fleet_size = static_cast<int>(flags.get_int("fleet", 0));
+  args.env.fleet.size = static_cast<int>(flags.get_int("fleet", 0));
   bench::warn_unused(flags);
 
   bench::banner("Figure 7 (extension)", "RTT and loss in motion: the road-trip campaigns");
@@ -110,13 +110,12 @@ int main(int argc, char** argv) {
   std::uint64_t seed_offset = 0;
   for (const std::string& name : routes) {
     measure::RoadTripCampaign::Config config;
-    config.seed = args.seed + seed_offset++;
+    config.seed = args.env.seed + seed_offset++;
     config.route = name;
     config.speed_scale = speed;
     config.cadence = cadence;
     config.duration = duration;
     config.obstructions = obstructions;
-    config.fleet.size = fleet_size;
     const auto result = bench::run_sweep<measure::RoadTripCampaign>(args, config);
     obs::merge(all_obs, result.obs);
     report(name, result);

@@ -50,7 +50,8 @@ struct Variant {
 /// clear sky plus the built-in handover storm over `horizon`.
 std::vector<Variant> variants(const bench::CommonArgs& args, Duration horizon,
                               Duration storm_blip) {
-  if (args.scenario != nullptr) return {{"--scenario " + args.scenario->name, args.scenario}};
+  const auto& scn = args.env.scenario;
+  if (scn != nullptr) return {{"--scenario " + scn->name, scn}};
   std::vector<Variant> v{{"clear sky", nullptr}};
   if (storm_blip > Duration::zero()) {
     // Blips start one slot in so connection handshakes complete cleanly;
@@ -107,10 +108,10 @@ double boundary_ratio(const stats::KeyedSamples& by_phase, std::uint64_t lag) {
          (static_cast<double>(lag + 2) / 15.0);
 }
 
-void run_abr(const bench::CommonArgs& args, const fleet::Fleet::Config& fleet,
-             int sessions, Duration duration, Duration storm_blip, obs::Snapshot& all_obs) {
+void run_abr(const bench::CommonArgs& args, int sessions, Duration duration,
+             Duration storm_blip, obs::Snapshot& all_obs) {
   measure::AbrCampaign::Config config;
-  config.seed = args.seed;
+  config.seed = args.env.seed;
   config.sessions = sessions;
   if (duration > Duration::zero()) config.session.watch = duration;
   // Live-edge ladder: short segments and a shallow buffer — the
@@ -125,7 +126,6 @@ void run_abr(const bench::CommonArgs& args, const fleet::Fleet::Config& fleet,
   // the ladder to the bottom rung: reservoir 8 s > the whole buffer).
   config.session.ladder.reservoir_s = 0.5;
   config.session.ladder.cushion_s = 3.0;
-  config.fleet = fleet;
   const Duration horizon =
       (config.session.watch * 2.0 + config.gap) * static_cast<double>(sessions) +
       Duration::seconds(30);
@@ -135,11 +135,9 @@ void run_abr(const bench::CommonArgs& args, const fleet::Fleet::Config& fleet,
               sessions, config.session.watch.to_seconds(),
               config.session.segment.to_seconds(), config.session.max_buffer_s);
   for (const Variant& variant : variants(args, horizon, storm_blip)) {
-    measure::AbrCampaign::Config cfg = config;
-    cfg.obs = args.obs();
-    cfg.scenario = variant.scenario;
-    cfg.fast_forward = args.fast_forward;
-    const auto r = runner::run_merged<measure::AbrCampaign>(args.sweep(), cfg);
+    bench::CommonArgs run = args;
+    run.env.scenario = variant.scenario;
+    const auto r = bench::run_sweep<measure::AbrCampaign>(run, config);
     obs::merge(all_obs, r.obs);
 
     std::printf("\n--- %s ---\n", variant.label.c_str());
@@ -168,13 +166,12 @@ void run_abr(const bench::CommonArgs& args, const fleet::Fleet::Config& fleet,
   }
 }
 
-void run_vc(const bench::CommonArgs& args, const fleet::Fleet::Config& fleet,
-            int calls, Duration duration, Duration storm_blip, obs::Snapshot& all_obs) {
+void run_vc(const bench::CommonArgs& args, int calls, Duration duration, Duration storm_blip,
+            obs::Snapshot& all_obs) {
   measure::VcCampaign::Config config;
-  config.seed = args.seed;
+  config.seed = args.env.seed;
   config.calls = calls;
   if (duration > Duration::zero()) config.session.duration = duration;
-  config.fleet = fleet;
   const Duration horizon =
       (config.session.duration + config.gap) * static_cast<double>(calls) +
       Duration::seconds(30);
@@ -182,11 +179,9 @@ void run_vc(const bench::CommonArgs& args, const fleet::Fleet::Config& fleet,
   std::printf("\n=== videoconference: %d calls x %.0f s ===\n", calls,
               config.session.duration.to_seconds());
   for (const Variant& variant : variants(args, horizon, storm_blip)) {
-    measure::VcCampaign::Config cfg = config;
-    cfg.obs = args.obs();
-    cfg.scenario = variant.scenario;
-    cfg.fast_forward = args.fast_forward;
-    const auto r = runner::run_merged<measure::VcCampaign>(args.sweep(), cfg);
+    bench::CommonArgs run = args;
+    run.env.scenario = variant.scenario;
+    const auto r = bench::run_sweep<measure::VcCampaign>(run, config);
     obs::merge(all_obs, r.obs);
 
     std::printf("\n--- %s ---\n", variant.label.c_str());
@@ -208,11 +203,10 @@ void run_vc(const bench::CommonArgs& args, const fleet::Fleet::Config& fleet,
   }
 }
 
-void run_game(const bench::CommonArgs& args, const fleet::Fleet::Config& fleet,
-              int matches, Duration duration, Duration storm_blip,
-              obs::Snapshot& all_obs) {
+void run_game(const bench::CommonArgs& args, int matches, Duration duration,
+              Duration storm_blip, obs::Snapshot& all_obs) {
   measure::GameCampaign::Config config;
-  config.seed = args.seed;
+  config.seed = args.env.seed;
   config.matches = matches;
   if (duration > Duration::zero()) config.session.duration = duration;
   // Competitive bound: RTT above ~p99 of the clear-sky distribution is felt
@@ -220,7 +214,6 @@ void run_game(const bench::CommonArgs& args, const fleet::Fleet::Config& fleet,
   // penalty couples to (the median-relative rule cancels constant
   // within-slot offsets by construction).
   config.session.detector.abs_ms = 60.0;
-  config.fleet = fleet;
   const Duration horizon =
       (config.session.duration + config.gap) * static_cast<double>(matches) +
       Duration::seconds(30);
@@ -228,7 +221,7 @@ void run_game(const bench::CommonArgs& args, const fleet::Fleet::Config& fleet,
   std::printf("\n=== game traffic: %d matches x %.0f s ===\n", matches,
               config.session.duration.to_seconds());
   std::vector<Variant> vars = variants(args, horizon, storm_blip);
-  if (args.scenario == nullptr) {
+  if (args.env.scenario == nullptr) {
     // In-motion run: the highway route's tunnels and urban canyon produce
     // genuinely unconnected slots, so stalled ticks resolve (late) with
     // multi-second handover_stall in their provenance — the strongest form
@@ -247,14 +240,12 @@ void run_game(const bench::CommonArgs& args, const fleet::Fleet::Config& fleet,
     vars.push_back({"in motion (highway route)", std::move(motion)});
   }
   for (const Variant& variant : vars) {
-    measure::GameCampaign::Config cfg = config;
-    cfg.obs = args.obs();
+    bench::CommonArgs run = args;
     // The stall correlation needs per-packet provenance regardless of the
     // export flags (cheap at game-tick rates).
-    cfg.obs.provenance = true;
-    cfg.scenario = variant.scenario;
-    cfg.fast_forward = args.fast_forward;
-    const auto r = runner::run_merged<measure::GameCampaign>(args.sweep(), cfg);
+    run.env.obs.provenance = true;
+    run.env.scenario = variant.scenario;
+    const auto r = bench::run_sweep<measure::GameCampaign>(run, config);
     obs::merge(all_obs, r.obs);
 
     std::printf("\n--- %s ---\n", variant.label.c_str());
@@ -297,12 +288,12 @@ void run_game(const bench::CommonArgs& args, const fleet::Fleet::Config& fleet,
 
 int main(int argc, char** argv) {
   const Flags flags = Flags::parse(argc, argv);
-  const auto args = bench::CommonArgs::parse(flags);
+  auto args = bench::CommonArgs::parse(flags);
   const std::string app = flags.get("app", "all");
   const int sessions = static_cast<int>(flags.get_int("sessions", args.scaled(2)));
   const Duration duration = flags.get_duration("duration", Duration::zero());
   const Duration storm_blip = flags.get_duration("storm-blip", Duration::seconds(2));
-  const fleet::Fleet::Config fleet = bench::parse_fleet(flags);
+  args.env.fleet = bench::parse_fleet(flags);
   bench::warn_unused(flags);
 
   if (app != "all" && app != "abr" && app != "vc" && app != "game") {
@@ -315,13 +306,13 @@ int main(int argc, char** argv) {
 
   obs::Snapshot all_obs;
   if (app == "all" || app == "abr") {
-    run_abr(args, fleet, sessions, duration, storm_blip, all_obs);
+    run_abr(args, sessions, duration, storm_blip, all_obs);
   }
   if (app == "all" || app == "vc") {
-    run_vc(args, fleet, sessions, duration, storm_blip, all_obs);
+    run_vc(args, sessions, duration, storm_blip, all_obs);
   }
   if (app == "all" || app == "game") {
-    run_game(args, fleet, sessions, duration, storm_blip, all_obs);
+    run_game(args, sessions, duration, storm_blip, all_obs);
   }
 
   std::printf("\nShape to check: QoE impairments are not uniform in time. Under "

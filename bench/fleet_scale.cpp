@@ -21,7 +21,7 @@
 int main(int argc, char** argv) {
   using namespace slp;
   const Flags flags = Flags::parse(argc, argv);
-  const auto args = bench::CommonArgs::parse(flags);
+  auto args = bench::CommonArgs::parse(flags);
   const int terminals = static_cast<int>(flags.get_int("terminals", 10000));
   const Duration duration = flags.get_duration("duration", Duration::hours(1));
   const double demand_scale = flags.get_double("demand-scale", 1.0);
@@ -29,20 +29,20 @@ int main(int argc, char** argv) {
   bench::banner("Fleet scale", "multi-terminal contention: placement, demand, per-cell PF");
 
   fleet::FleetCampaign::Config config;
-  config.seed = args.seed;
+  config.seed = args.env.seed;
   config.duration = duration;
-  config.fleet = bench::parse_fleet(flags);
-  config.fleet.size = std::max(1, static_cast<int>(terminals * args.scale));
-  config.fleet.placement.cell_km = flags.get_double("cell-km", config.fleet.placement.cell_km);
-  config.fleet.demand.scale_down = demand_scale;
-  config.fleet.demand.scale_up = demand_scale;
+  fleet::Fleet::Config& fleet = args.env.fleet;
+  fleet = bench::parse_fleet(flags);
+  fleet.size = std::max(1, static_cast<int>(terminals * args.scale));
+  fleet.placement.cell_km = flags.get_double("cell-km", fleet.placement.cell_km);
+  fleet.demand.scale_down = demand_scale;
+  fleet.demand.scale_up = demand_scale;
   bench::warn_unused(flags);
 
   std::printf("fleet: %d terminals, %.0f s simulated, %d seed cell(s), %d job(s), "
               "%d shard(s)%s\n\n",
-              config.fleet.size, duration.to_seconds(), args.seeds, args.jobs,
-              config.fleet.shards,
-              config.fleet.aggregate_idle ? ", idle cells aggregated" : "");
+              fleet.size, duration.to_seconds(), args.seeds, args.jobs, fleet.shards,
+              fleet.aggregate_idle ? ", idle cells aggregated" : "");
 
   const auto result = bench::run_sweep<fleet::FleetCampaign>(args, config);
 

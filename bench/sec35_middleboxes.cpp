@@ -45,18 +45,18 @@ int main(int argc, char** argv) {
   obs::Snapshot all_obs;
   {
     measure::MiddleboxAudit::Config config;
-    config.seed = args.seed;
+    config.seed = args.env.seed;
     config.access = measure::AccessKind::kStarlink;
-    config.obs = args.obs();
+    config.obs = args.env.obs;
     const auto result = measure::MiddleboxAudit::run(config);
     obs::merge(all_obs, result.obs);
     print_audit("Starlink (paper: 2 NATs, checksums only, no PEP, no TD)", result);
   }
   {
     measure::MiddleboxAudit::Config config;
-    config.seed = args.seed + 1;
+    config.seed = args.env.seed + 1;
     config.access = measure::AccessKind::kSatCom;
-    config.obs = args.obs();
+    config.obs = args.env.obs;
     const auto result = measure::MiddleboxAudit::run(config);
     obs::merge(all_obs, result.obs);
     print_audit("SatCom control (PEPs are the norm on GEO links)", result);

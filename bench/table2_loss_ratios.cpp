@@ -34,26 +34,26 @@ int main(int argc, char** argv) {
   bench::banner("Table 2 / §3.2", "QUIC packet loss ratios and loss-event durations");
 
   measure::H3Campaign::Config h3_down_cfg;
-  h3_down_cfg.seed = args.seed;
+  h3_down_cfg.seed = args.env.seed;
   h3_down_cfg.download = true;
   h3_down_cfg.transfers = args.scaled(6);
   const auto h3_down = bench::run_sweep<measure::H3Campaign>(args, h3_down_cfg);
 
   measure::H3Campaign::Config h3_up_cfg;
-  h3_up_cfg.seed = args.seed + 1;
+  h3_up_cfg.seed = args.env.seed + 1;
   h3_up_cfg.download = false;
   h3_up_cfg.transfers = args.scaled(3);
   h3_up_cfg.bytes = 40ull * 1000 * 1000;
   const auto h3_up = bench::run_sweep<measure::H3Campaign>(args, h3_up_cfg);
 
   measure::MessageCampaign::Config msg_down_cfg;
-  msg_down_cfg.seed = args.seed + 2;
+  msg_down_cfg.seed = args.env.seed + 2;
   msg_down_cfg.upload = false;
   msg_down_cfg.sessions = args.scaled(5);
   const auto msg_down = bench::run_sweep<measure::MessageCampaign>(args, msg_down_cfg);
 
   measure::MessageCampaign::Config msg_up_cfg;
-  msg_up_cfg.seed = args.seed + 3;
+  msg_up_cfg.seed = args.env.seed + 3;
   msg_up_cfg.upload = true;
   msg_up_cfg.sessions = args.scaled(5);
   const auto msg_up = bench::run_sweep<measure::MessageCampaign>(args, msg_up_cfg);

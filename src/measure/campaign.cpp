@@ -42,12 +42,8 @@ void apply_paper_epochs(leo::StarlinkAccess::Config& config) {
 
 PingCampaign::Result PingCampaign::run(const Config& config) {
   TestbedConfig tb_config;
-  tb_config.seed = config.seed;
+  static_cast<RunEnv&>(tb_config) = config;
   tb_config.with_satcom = false;  // the paper pings over Starlink only
-  tb_config.obs = config.obs;
-  tb_config.scenario = config.scenario;
-  tb_config.fast_forward = config.fast_forward;
-  tb_config.fleet = config.fleet;
   if (config.epochs) apply_paper_epochs(tb_config.starlink);
   Testbed bed{tb_config};
 
@@ -123,12 +119,8 @@ PingCampaign::Result PingCampaign::run(const Config& config) {
 
 H3Campaign::Result H3Campaign::run(const Config& config) {
   TestbedConfig tb_config;
-  tb_config.seed = config.seed;
+  static_cast<RunEnv&>(tb_config) = config;
   tb_config.with_satcom = false;
-  tb_config.obs = config.obs;
-  tb_config.scenario = config.scenario;
-  tb_config.fast_forward = config.fast_forward;
-  tb_config.fleet = config.fleet;
   if (config.epochs) apply_paper_epochs(tb_config.starlink);
   Testbed bed{tb_config};
 
@@ -209,12 +201,8 @@ H3Campaign::Result H3Campaign::run(const Config& config) {
 
 MessageCampaign::Result MessageCampaign::run(const Config& config) {
   TestbedConfig tb_config;
-  tb_config.seed = config.seed;
+  static_cast<RunEnv&>(tb_config) = config;
   tb_config.with_satcom = false;
-  tb_config.obs = config.obs;
-  tb_config.scenario = config.scenario;
-  tb_config.fast_forward = config.fast_forward;
-  tb_config.fleet = config.fleet;
   Testbed bed{tb_config};
 
   Result result;
@@ -289,13 +277,10 @@ MessageCampaign::Result MessageCampaign::run(const Config& config) {
 
 SpeedtestCampaign::Result SpeedtestCampaign::run(const Config& config) {
   TestbedConfig tb_config;
-  tb_config.seed = config.seed;
+  static_cast<RunEnv&>(tb_config) = config;
+  if (config.access != AccessKind::kStarlink) tb_config.fleet = {};
   tb_config.with_satcom = config.access == AccessKind::kSatCom;
   tb_config.geo.pep.enabled = config.satcom_pep;
-  tb_config.obs = config.obs;
-  tb_config.scenario = config.scenario;
-  tb_config.fast_forward = config.fast_forward;
-  if (config.access == AccessKind::kStarlink) tb_config.fleet = config.fleet;
   Testbed bed{tb_config};
 
   Result result;
@@ -329,13 +314,10 @@ SpeedtestCampaign::Result SpeedtestCampaign::run(const Config& config) {
 
 WebCampaign::Result WebCampaign::run(const Config& config) {
   TestbedConfig tb_config;
-  tb_config.seed = config.seed;
+  static_cast<RunEnv&>(tb_config) = config;
+  if (config.access != AccessKind::kStarlink) tb_config.fleet = {};
   tb_config.with_satcom = config.access == AccessKind::kSatCom;
   tb_config.geo.pep.enabled = config.satcom_pep;
-  tb_config.obs = config.obs;
-  tb_config.scenario = config.scenario;
-  tb_config.fast_forward = config.fast_forward;
-  if (config.access == AccessKind::kStarlink) tb_config.fleet = config.fleet;
   Testbed bed{tb_config};
 
   Result result;
@@ -407,12 +389,8 @@ RoadTripCampaign::Result RoadTripCampaign::run(const Config& config) {
   }
 
   TestbedConfig tb_config;
-  tb_config.seed = config.seed;
+  static_cast<RunEnv&>(tb_config) = config;
   tb_config.with_satcom = false;
-  tb_config.obs = config.obs;
-  tb_config.scenario = config.scenario;
-  tb_config.fast_forward = config.fast_forward;
-  tb_config.fleet = config.fleet;
   tb_config.mobility.route = *route;
   tb_config.mobility.speed_scale = config.speed_scale;
   tb_config.mobility.obstructions = config.obstructions;
@@ -591,11 +569,8 @@ void merge(WebCampaign::Result& into, const WebCampaign::Result& from) {
 
 MiddleboxAudit::Result MiddleboxAudit::run(const Config& config) {
   TestbedConfig tb_config;
-  tb_config.seed = config.seed;
+  static_cast<RunEnv&>(tb_config) = config;
   tb_config.with_satcom = config.access == AccessKind::kSatCom;
-  tb_config.obs = config.obs;
-  tb_config.scenario = config.scenario;
-  tb_config.fast_forward = config.fast_forward;
   Testbed bed{tb_config};
 
   Result result;

@@ -43,21 +43,12 @@ void apply_paper_epochs(leo::StarlinkAccess::Config& config);
 // ===================================================================== pings
 
 struct PingCampaign {
-  struct Config {
-    std::uint64_t seed = 1;
+  /// RunEnv::fleet of size N > 1 puts real contention under Figure 2.
+  struct Config : RunEnv {
     Duration duration = Duration::days(146);  ///< Dec 20 -> mid May
     Duration cadence = Duration::minutes(5);
     int pings_per_round = 3;
     bool epochs = true;
-    obs::Options obs;  ///< per-cell observability (testbed-wide)
-    /// Optional environment/fault timeline (seed-independent; see scenario.hpp).
-    std::shared_ptr<const scenario::Scenario> scenario;
-    /// Optional simulated-neighbour fleet (src/fleet/); size 0 keeps the
-    /// synthetic cell load, size N > 1 puts real contention under Figure 2.
-    fleet::Fleet::Config fleet;
-    /// Analytic fast paths (see TestbedConfig::fast_forward). Same exports
-    /// either way; false runs the packet-level reference.
-    bool fast_forward = true;
   };
 
   struct AnchorResult {
@@ -86,8 +77,8 @@ struct PingCampaign {
 // ===================================================================== H3
 
 struct H3Campaign {
-  struct Config {
-    std::uint64_t seed = 2;
+  struct Config : RunEnv {
+    Config() { seed = 2; }
     int transfers = 12;
     bool download = true;
     std::uint64_t bytes = 100ull * 1000 * 1000;
@@ -95,12 +86,6 @@ struct H3Campaign {
     bool pacing = false;     ///< quiche default; true for the ablation
     bool epochs = true;      ///< second-session capacity applies
     Duration transfer_timeout = Duration::minutes(5);
-    obs::Options obs;
-    std::shared_ptr<const scenario::Scenario> scenario;
-    /// Optional simulated-neighbour fleet (src/fleet/); size 0 keeps the
-    /// synthetic cell load, size N > 1 puts real contention under Figure 3.
-    fleet::Fleet::Config fleet;
-    bool fast_forward = true;  ///< see TestbedConfig::fast_forward
   };
 
   struct Result {
@@ -117,19 +102,13 @@ struct H3Campaign {
 // ================================================================= messages
 
 struct MessageCampaign {
-  struct Config {
-    std::uint64_t seed = 3;
+  struct Config : RunEnv {
+    Config() { seed = 3; }
     int sessions = 6;
     bool upload = true;                    ///< client -> server
     Duration session_duration = Duration::minutes(2);
     Duration gap = Duration::seconds(10);
     bool pacing = false;
-    obs::Options obs;
-    std::shared_ptr<const scenario::Scenario> scenario;
-    /// Optional simulated-neighbour fleet (src/fleet/); size 0 keeps the
-    /// synthetic cell load, size N > 1 puts real contention under Figure 4b.
-    fleet::Fleet::Config fleet;
-    bool fast_forward = true;  ///< see TestbedConfig::fast_forward
   };
 
   struct Result {
@@ -146,8 +125,9 @@ struct MessageCampaign {
 // ================================================================ speedtest
 
 struct SpeedtestCampaign {
-  struct Config {
-    std::uint64_t seed = 4;
+  /// RunEnv::fleet applies to the Starlink access only.
+  struct Config : RunEnv {
+    Config() { seed = 4; }
     AccessKind access = AccessKind::kStarlink;
     int tests = 24;
     bool download = true;
@@ -155,11 +135,6 @@ struct SpeedtestCampaign {
     Duration test_duration = Duration::seconds(12);
     Duration gap = Duration::minutes(2);
     bool satcom_pep = true;  ///< PEP ablation switch (SatCom access only)
-    obs::Options obs;
-    std::shared_ptr<const scenario::Scenario> scenario;
-    /// Optional simulated-neighbour fleet (Starlink access only).
-    fleet::Fleet::Config fleet;
-    bool fast_forward = true;  ///< see TestbedConfig::fast_forward
   };
 
   struct Result {
@@ -173,8 +148,9 @@ struct SpeedtestCampaign {
 // ====================================================================== web
 
 struct WebCampaign {
-  struct Config {
-    std::uint64_t seed = 5;
+  /// RunEnv::fleet applies to the Starlink access only.
+  struct Config : RunEnv {
+    Config() { seed = 5; }
     AccessKind access = AccessKind::kStarlink;
     int catalog_sites = 120;
     int visits = 60;              ///< total page loads
@@ -184,12 +160,6 @@ struct WebCampaign {
     /// Name resolution across the access link (one lookup per origin per
     /// cold cache) — part of every real onLoad.
     bool dns = true;
-    obs::Options obs;
-    std::shared_ptr<const scenario::Scenario> scenario;
-    /// Optional simulated-neighbour fleet (Starlink access only); puts real
-    /// contention under the Figure 6 page loads.
-    fleet::Fleet::Config fleet;
-    bool fast_forward = true;  ///< see TestbedConfig::fast_forward
   };
 
   struct Result {
@@ -213,20 +183,14 @@ struct WebCampaign {
 /// outage durations, and the provenance sums expose how much of the moving
 /// RTT is handover stall.
 struct RoadTripCampaign {
-  struct Config {
-    std::uint64_t seed = 7;
+  struct Config : RunEnv {
+    Config() { seed = 7; }
     std::string route = "highway";  ///< mobility::routes::lookup name
     double speed_scale = 1.0;       ///< multiplies the route's leg speeds
     Duration cadence = Duration::seconds(1);
     /// Zero = drive the whole route (scaled) plus a 30 s settled tail.
     Duration duration = Duration::zero();
     bool obstructions = true;  ///< false strips the route's masks (ablation)
-    obs::Options obs;
-    std::shared_ptr<const scenario::Scenario> scenario;
-    /// Optional simulated-neighbour fleet: makes cell migrations land in
-    /// arbiters with real background members.
-    fleet::Fleet::Config fleet;
-    bool fast_forward = true;  ///< see TestbedConfig::fast_forward
   };
 
   struct Result {
@@ -268,13 +232,10 @@ void merge(RoadTripCampaign::Result& into, const RoadTripCampaign::Result& from)
 // =============================================================== middleboxes
 
 struct MiddleboxAudit {
-  struct Config {
-    std::uint64_t seed = 6;
+  struct Config : RunEnv {
+    Config() { seed = 6; }
     AccessKind access = AccessKind::kStarlink;
     int wehe_repetitions = 10;  ///< the paper ran the suite ten times
-    obs::Options obs;
-    std::shared_ptr<const scenario::Scenario> scenario;
-    bool fast_forward = true;  ///< see TestbedConfig::fast_forward
   };
 
   struct Result {

@@ -17,15 +17,12 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 
-#include "fleet/fleet.hpp"
 #include "measure/testbed.hpp"
 #include "obs/recorder.hpp"
 #include "qoe/abr.hpp"
 #include "qoe/game.hpp"
 #include "qoe/vc.hpp"
-#include "scenario/scenario.hpp"
 #include "stats/groupby.hpp"
 #include "stats/quantiles.hpp"
 
@@ -39,17 +36,13 @@ namespace slp::measure {
 // ================================================================ ABR video
 
 struct AbrCampaign {
-  struct Config {
-    std::uint64_t seed = 8;
+  /// RunEnv::fleet puts real cell contention under the video downloads
+  /// (fig8 uses fleet::named_mix("streaming")).
+  struct Config : RunEnv {
+    Config() { seed = 8; }
     int sessions = 4;                      ///< sequential watch sessions
     Duration gap = Duration::seconds(10);  ///< idle gap between sessions
     qoe::AbrVideoSession::Config session;
-    obs::Options obs;
-    std::shared_ptr<const scenario::Scenario> scenario;
-    /// Optional simulated-neighbour fleet: puts real cell contention under
-    /// the video downloads (use fleet::named_mix("streaming") for fig8).
-    fleet::Fleet::Config fleet;
-    bool fast_forward = true;  ///< see TestbedConfig::fast_forward
   };
 
   struct Result {
@@ -73,16 +66,11 @@ struct AbrCampaign {
 // ======================================================== videoconferencing
 
 struct VcCampaign {
-  struct Config {
-    std::uint64_t seed = 9;
+  struct Config : RunEnv {
+    Config() { seed = 9; }
     int calls = 3;                         ///< sequential calls
     Duration gap = Duration::seconds(10);
     qoe::VcSession::Config session;
-    obs::Options obs;
-    std::shared_ptr<const scenario::Scenario> scenario;
-    /// Optional simulated-neighbour fleet (fleet::named_mix("realtime")).
-    fleet::Fleet::Config fleet;
-    bool fast_forward = true;  ///< see TestbedConfig::fast_forward
   };
 
   struct Result {
@@ -112,16 +100,12 @@ struct GameCampaign {
   static constexpr double kStallHighMs = 12.0;
   static constexpr double kStallLowMs = 4.0;
 
-  struct Config {
-    std::uint64_t seed = 10;
+  /// Turn RunEnv::obs.provenance on for the stall correlation.
+  struct Config : RunEnv {
+    Config() { seed = 10; }
     int matches = 3;                       ///< sequential matches
     Duration gap = Duration::seconds(5);
     qoe::GameSession::Config session;
-    obs::Options obs;  ///< turn provenance on for the stall correlation
-    std::shared_ptr<const scenario::Scenario> scenario;
-    /// Optional simulated-neighbour fleet (fleet::named_mix("realtime")).
-    fleet::Fleet::Config fleet;
-    bool fast_forward = true;  ///< see TestbedConfig::fast_forward
   };
 
   struct Result {

@@ -35,13 +35,11 @@ enum class AccessKind { kStarlink, kSatCom, kWired };
 
 [[nodiscard]] std::string_view to_string(AccessKind kind);
 
-struct TestbedConfig {
+/// The run environment every Testbed-based campaign shares: campaign Configs
+/// and TestbedConfig inherit it, so each run() hands its environment to the
+/// testbed with one `static_cast<RunEnv&>(tb) = config;`.
+struct RunEnv {
   std::uint64_t seed = 1;
-  leo::StarlinkAccess::Config starlink;
-  geo::GeoAccess::Config geo;
-  bool with_satcom = true;
-  /// Campus <-> internet-core one-way delay (Louvain-la-Neuve to AMS).
-  Duration campus_core_delay = Duration::from_millis(2.2);
   /// Observability: enabled on the Simulator *before* the topology is built
   /// so every component binds its handles/probes at construction.
   obs::Options obs;
@@ -53,15 +51,23 @@ struct TestbedConfig {
   /// size 0 keeps the synthetic LoadProcess; size 1 attaches only the
   /// foreground terminal (bit-identical to size 0 by construction).
   fleet::Fleet::Config fleet;
+  /// Analytic fast paths (link express serialization, transport scan
+  /// skipping). Exports are identical either way; `false` runs the
+  /// packet-level reference the differential suite compares against.
+  bool fast_forward = true;
+};
+
+struct TestbedConfig : RunEnv {
+  leo::StarlinkAccess::Config starlink;
+  geo::GeoAccess::Config geo;
+  bool with_satcom = true;
+  /// Campus <-> internet-core one-way delay (Louvain-la-Neuve to AMS).
+  Duration campus_core_delay = Duration::from_millis(2.2);
   /// Terminal motion (src/mobility/). A trivial route builds no
   /// MobileTerminal at all unless the scenario carries a `move` directive;
   /// a non-trivial route with speed_scale 0 builds a fully passive one —
   /// both keep exports byte-identical to a static run.
   mobility::MobileTerminal::Config mobility;
-  /// Analytic fast paths (link express serialization, transport scan
-  /// skipping). Exports are identical either way; `false` runs the
-  /// packet-level reference the differential suite compares against.
-  bool fast_forward = true;
 };
 
 class Testbed {
