@@ -3,6 +3,7 @@
 #include "measure/campaign.hpp"
 #include "measure/loss.hpp"
 #include "measure/testbed.hpp"
+#include "runner/sweep.hpp"
 
 namespace slp::measure {
 namespace {
@@ -169,6 +170,29 @@ TEST(MessageCampaignTest, ShortUploadSessionCollectsEverything) {
   // Message latencies sit near the path RTT's one-way plus queueing.
   EXPECT_GT(result.latency_ms.median(), 15.0);
   EXPECT_LT(result.latency_ms.median(), 120.0);
+}
+
+TEST(MessageCampaignTest, LostServerHandshakeReplyIsResent) {
+  // In this cell the server ACKs the client's Initial in an ACK-only packet
+  // and its handshake reply is lost: the client has nothing left to probe
+  // with, so only the server's PTO can complete the handshake. Without the
+  // resend the second session never starts (1500 of 3000 messages).
+  MessageCampaign::Config config;
+  config.seed = runner::cell_seed(7220676901988789713ull, 4);
+  config.sessions = 2;
+  config.session_duration = Duration::minutes(1);
+  EXPECT_EQ(MessageCampaign::run(config).messages_sent, 3000);
+}
+
+TEST(H3CampaignTest, LostMaxDataUpdateIsResent) {
+  // In this cell a pure receiver's MAX_DATA update is lost while the sender
+  // is blocked on flow control with nothing in flight. Unless the update is
+  // tracked and re-sent, transfer 3 stops at exactly 10 MB delivered.
+  H3Campaign::Config config;
+  config.seed = runner::cell_seed(4242, 6);
+  config.transfers = 4;
+  config.bytes = 20ull * 1000 * 1000;
+  EXPECT_EQ(H3Campaign::run(config).transfers_completed, 4);
 }
 
 TEST(SpeedtestCampaignTest, WiredTestsNearGigabit) {
