@@ -51,13 +51,6 @@ struct TcpConfig {
   /// line-rate bursts from flooding shallow queues during recovery.
   int max_burst_segments = 10;
   std::uint32_t header_bytes = 40;  ///< IP+TCP overhead per segment
-  /// Algorithmic fast paths: skip the per-ACK retransmit and RACK scans of
-  /// `in_flight_` when cheap bookkeeping proves they cannot find anything
-  /// (a lost-segment counter and a conservative floor on candidate send
-  /// times). Behaviour is identical either way; the knob lets the
-  /// differential suite in tests/packet_path_test.cpp prove it byte-by-byte
-  /// against the reference full scans.
-  bool fast_forward = true;
 };
 
 enum class TcpState {

@@ -339,10 +339,12 @@ TEST(Differential, FastPathEngagesAndFallsBack) {
 
 TEST(Differential, TransportFastForwardKnobsAreInvisible) {
   // TCP/QUIC scan-skipping (RACK floor, loss-timer arming) must not change
-  // a single wire event. Exercised directly through the transport configs
-  // over a lossy path so the skipped scans actually have work to skip.
+  // a single wire event. Exercised over a lossy path so the skipped scans
+  // actually have work to skip; the loss model keeps the link's own fast
+  // path off either way, so the knob flips only the transport paths.
   auto run_tcp = [](bool ff) {
     sim::Simulator simulator{88};
+    simulator.set_fast_forward(ff);
     sim::Network net{simulator};
     sim::Host& a = net.add_host("a", make_addr(10, 0, 0, 1));
     sim::Host& b = net.add_host("b", make_addr(10, 0, 0, 2));
@@ -353,9 +355,7 @@ TEST(Differential, TransportFastForwardKnobsAreInvisible) {
     tcp::TcpStack sa{a};
     tcp::TcpStack sb{b};
     sb.listen(80, [](tcp::TcpConnection& c) { c.on_data = [](std::uint64_t) {}; });
-    tcp::TcpConfig config;
-    config.fast_forward = ff;
-    tcp::TcpConnection& conn = sa.connect(b.addr(), 80, config);
+    tcp::TcpConnection& conn = sa.connect(b.addr(), 80);
     conn.on_established = [&conn] { conn.send(3'000'000); };
     simulator.run_until(TimePoint::epoch() + Duration::minutes(5));
     return std::tuple{conn.stats().bytes_acked, conn.stats().segments_sent,
@@ -366,6 +366,7 @@ TEST(Differential, TransportFastForwardKnobsAreInvisible) {
 
   auto run_quic = [](bool ff) {
     sim::Simulator simulator{89};
+    simulator.set_fast_forward(ff);
     sim::Network net{simulator};
     sim::Host& a = net.add_host("a", make_addr(10, 0, 0, 1));
     sim::Host& b = net.add_host("b", make_addr(10, 0, 0, 2));
@@ -375,13 +376,11 @@ TEST(Differential, TransportFastForwardKnobsAreInvisible) {
     link.set_loss(0, &ge);
     quic::QuicStack ca{a};
     quic::QuicStack cb{b};
-    quic::QuicConfig config;
-    config.fast_forward = ff;
     std::uint64_t got = 0;
     cb.listen(443, [&](quic::QuicConnection& c) {
       c.on_stream_data = [&](std::uint64_t n) { got += n; };
-    }, config);
-    quic::QuicConnection& conn = ca.connect(b.addr(), 443, config);
+    });
+    quic::QuicConnection& conn = ca.connect(b.addr(), 443);
     conn.on_established = [&conn] { conn.send_stream(3'000'000); };
     simulator.run_until(TimePoint::epoch() + Duration::minutes(5));
     return std::tuple{got, conn.stats().packets_sent, conn.stats().packets_lost,
