@@ -1,10 +1,41 @@
 #include "util/flags.hpp"
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
-#include <stdexcept>
 
 namespace slp {
+
+namespace {
+
+/// Exits 2 with `error: --KEY=VALUE is not WHAT`, the way benches reject any
+/// malformed value.
+[[noreturn]] void reject(const std::string& key, const std::string& value, const char* what) {
+  std::fprintf(stderr, "error: --%s=%s is not %s\n", key.c_str(), value.c_str(), what);
+  std::exit(2);
+}
+
+/// True when `end` (from strtoll/strtod over `text`) consumed all of a
+/// non-empty value and the number was in range.
+bool whole(const std::string& text, const char* end) {
+  return end != text.c_str() && *end == '\0' && errno != ERANGE;
+}
+
+bool parse_number(const std::string& text, std::int64_t& out) {
+  errno = 0;
+  char* end = nullptr;
+  out = std::strtoll(text.c_str(), &end, 10);
+  return whole(text, end);
+}
+
+bool parse_number(const std::string& text, double& out) {
+  errno = 0;
+  char* end = nullptr;
+  out = std::strtod(text.c_str(), &end);
+  return whole(text, end);
+}
+
+}  // namespace
 
 Flags Flags::parse(int argc, const char* const* argv) {
   Flags flags;
@@ -43,14 +74,18 @@ std::int64_t Flags::get_int(std::string_view key, std::int64_t def) const {
   const auto it = values_.find(key);
   if (it == values_.end()) return def;
   used_[it->first] = true;
-  return std::strtoll(it->second.c_str(), nullptr, 10);
+  std::int64_t value = 0;
+  if (!parse_number(it->second, value)) reject(it->first, it->second, "an integer");
+  return value;
 }
 
 double Flags::get_double(std::string_view key, double def) const {
   const auto it = values_.find(key);
   if (it == values_.end()) return def;
   used_[it->first] = true;
-  return std::strtod(it->second.c_str(), nullptr);
+  double value = 0.0;
+  if (!parse_number(it->second, value)) reject(it->first, it->second, "a number");
+  return value;
 }
 
 bool Flags::get_bool(std::string_view key, bool def) const {
@@ -66,9 +101,7 @@ Duration Flags::get_duration(std::string_view key, Duration def) const {
   used_[it->first] = true;
   Duration parsed;
   if (!parse_duration(it->second, parsed)) {
-    std::fprintf(stderr, "warning: --%s=%s is not a duration (want e.g. 90s, 15m, 2h)\n",
-                 it->first.c_str(), it->second.c_str());
-    return def;
+    reject(it->first, it->second, "a duration (want e.g. 90s, 15m, 2h)");
   }
   return parsed;
 }
@@ -96,7 +129,9 @@ std::vector<double> Flags::get_double_list(std::string_view key,
   if (it == values_.end()) return def;
   std::vector<double> out;
   for (const std::string& item : get_list(key, {})) {
-    out.push_back(std::strtod(item.c_str(), nullptr));
+    if (!parse_number(item, out.emplace_back())) {
+      reject(it->first, it->second, "a list of numbers");
+    }
   }
   return out;
 }

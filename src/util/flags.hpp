@@ -23,15 +23,17 @@ class Flags {
 
   [[nodiscard]] bool has(std::string_view key) const;
 
+  // The numeric getters return `def` when the key is absent. A present value
+  // that is empty, has trailing characters or is out of range prints
+  // `error: --KEY=VALUE is not ...` and exits 2, rather than misreading a
+  // typo as zero.
   [[nodiscard]] std::string get(std::string_view key, std::string_view def) const;
   [[nodiscard]] std::int64_t get_int(std::string_view key, std::int64_t def) const;
   [[nodiscard]] double get_double(std::string_view key, double def) const;
   [[nodiscard]] bool get_bool(std::string_view key, bool def) const;
 
   /// Human duration value (`--ramp=90s`, `--window=15m`, `--span=2h`); a bare
-  /// number means seconds (parse_duration, units.hpp). A present-but-invalid
-  /// value warns on stderr and falls back to `def` rather than silently
-  /// misreading a typo as zero.
+  /// number means seconds (parse_duration, units.hpp).
   [[nodiscard]] Duration get_duration(std::string_view key, Duration def) const;
 
   /// Comma-separated list value (`--grid=leo,geo,wired`); `def` when absent.

@@ -268,16 +268,54 @@ TEST(ParseDuration, RejectsJunkWithoutTouchingOut) {
 }
 
 TEST(Flags, GetDurationParsesSuffixesAndFallsBack) {
-  const char* argv[] = {"prog", "--window=15m", "--ramp=90s", "--bad=soon", "--bare=3"};
-  const Flags f = Flags::parse(5, argv);
+  const char* argv[] = {"prog", "--window=15m", "--ramp=90s", "--bare=3"};
+  const Flags f = Flags::parse(4, argv);
   EXPECT_EQ(f.get_duration("window", Duration::zero()), Duration::minutes(15));
   EXPECT_EQ(f.get_duration("ramp", Duration::zero()), Duration::seconds(90));
   EXPECT_EQ(f.get_duration("bare", Duration::zero()), Duration::seconds(3));
-  // Invalid values warn and fall back to the default instead of misparsing.
-  EXPECT_EQ(f.get_duration("bad", Duration::seconds(5)), Duration::seconds(5));
   EXPECT_EQ(f.get_duration("absent", Duration::hours(1)), Duration::hours(1));
-  // get_duration marks its keys used, including the malformed one.
   EXPECT_TRUE(f.unused().empty());
+}
+
+TEST(Flags, NumericListsParseEveryItem) {
+  const char* argv[] = {"prog", "--loads=0.2,0.5,,0.9", "--none="};
+  const Flags f = Flags::parse(3, argv);
+  EXPECT_EQ(f.get_double_list("loads", {}), (std::vector<double>{0.2, 0.5, 0.9}));
+  EXPECT_TRUE(f.get_double_list("none", {1.0}).empty());
+  EXPECT_EQ(f.get_double_list("absent", {1.0}), std::vector<double>{1.0});
+}
+
+// A malformed numeric value exits 2 naming the flag, rather than reading as
+// zero (strtod's "abc") or as the default.
+TEST(FlagsDeathTest, TrailingGarbageExitsTwo) {
+  const char* argv[] = {"prog", "--scale=abc", "--n=12x", "--loads=0.2,x", "--ramp=soon"};
+  const Flags f = Flags::parse(5, argv);
+  EXPECT_EXIT((void)f.get_double("scale", 1.0), testing::ExitedWithCode(2),
+              "error: --scale=abc is not a number");
+  EXPECT_EXIT((void)f.get_int("n", 1), testing::ExitedWithCode(2),
+              "error: --n=12x is not an integer");
+  EXPECT_EXIT((void)f.get_double_list("loads", {}), testing::ExitedWithCode(2),
+              "error: --loads=0.2,x is not a list of numbers");
+  EXPECT_EXIT((void)f.get_duration("ramp", Duration::zero()), testing::ExitedWithCode(2),
+              "error: --ramp=soon is not a duration");
+}
+
+TEST(FlagsDeathTest, EmptyValueExitsTwo) {
+  const char* argv[] = {"prog", "--seed=", "--scale=", "--ramp="};
+  const Flags f = Flags::parse(4, argv);
+  EXPECT_EXIT((void)f.get_int("seed", 1), testing::ExitedWithCode(2), "error: --seed= ");
+  EXPECT_EXIT((void)f.get_double("scale", 1.0), testing::ExitedWithCode(2), "error: --scale= ");
+  EXPECT_EXIT((void)f.get_duration("ramp", Duration::zero()), testing::ExitedWithCode(2),
+              "error: --ramp= ");
+}
+
+TEST(FlagsDeathTest, OutOfRangeValueExitsTwo) {
+  const char* argv[] = {"prog", "--seed=99999999999999999999", "--scale=1e999"};
+  const Flags f = Flags::parse(3, argv);
+  EXPECT_EXIT((void)f.get_int("seed", 1), testing::ExitedWithCode(2),
+              "error: --seed=99999999999999999999 is not an integer");
+  EXPECT_EXIT((void)f.get_double("scale", 1.0), testing::ExitedWithCode(2),
+              "error: --scale=1e999 is not a number");
 }
 
 // ---------------------------------------------------------- InlineFunction
