@@ -9,7 +9,9 @@
 // Common flags: --seed=N, --scale=F (scales campaign sizes; 1.0 = the
 // defaults documented in DESIGN.md, larger = closer to paper scale),
 // --seeds=N (independent seed replications per campaign, merged cell-id
-// ordered) and --jobs=M (worker threads; results are identical for any M).
+// ordered; N >= 1) and --jobs=M (worker threads, 0 = hardware concurrency,
+// at most runner::Pool::kMaxWorkers; results are identical for any M). An
+// out-of-range count exits 2 like a malformed one.
 // --fast-forward=0 disables the analytic fast paths (link express
 // serialization, transport scan skipping) and runs the packet-level
 // reference; exports are identical either way.
@@ -39,6 +41,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -54,6 +57,10 @@
 #include "util/log.hpp"
 
 namespace slp::bench {
+
+/// Upper bound of the integer count flags (--seeds, --fleet, --terminals);
+/// worker counts (--jobs, --shards) stop at runner::Pool::kMaxWorkers.
+inline constexpr int kMaxCount = std::numeric_limits<int>::max();
 
 inline void banner(const std::string& asset, const std::string& what) {
   std::printf("==============================================================\n");
@@ -115,7 +122,7 @@ inline void warn_unused(const Flags& flags) {
 ///                         the pre-mix behaviour)
 inline fleet::Fleet::Config parse_fleet(const Flags& flags) {
   fleet::Fleet::Config fc;
-  fc.size = static_cast<int>(flags.get_int("fleet", 0));
+  fc.size = flags.get_int("fleet", 0, 0, kMaxCount);
   const std::string mix = flags.get("fleet-mix", "default");
   try {
     fc.demand = fleet::named_mix(mix);
@@ -131,14 +138,13 @@ inline fleet::Fleet::Config parse_fleet(const Flags& flags) {
   if (continental) fc.placement = fleet::Placement::continental_europe();
   fc.placement.cell_km = flags.get_double("fleet-cell-km", fc.placement.cell_km);
   fc.aggregate_idle = flags.get_bool("aggregate", continental);
-  fc.supercell_factor =
-      static_cast<int>(flags.get_int("supercell-factor", fc.supercell_factor));
+  fc.supercell_factor = flags.get_int("supercell-factor", fc.supercell_factor, 1, kMaxCount);
   const double supercell_km = flags.get_double("supercell-km", 0.0);
   if (supercell_km > 0.0) {
     fc.supercell_factor = std::max(
         1, static_cast<int>(supercell_km / std::max(1.0, fc.placement.cell_km) + 0.5));
   }
-  fc.shards = std::max(0, static_cast<int>(flags.get_int("shards", 1)));
+  fc.shards = flags.get_int("shards", 1, 0, runner::Pool::kMaxWorkers);
   return fc;
 }
 
@@ -175,8 +181,8 @@ struct CommonArgs {
     CommonArgs args;
     args.env.seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
     args.scale = flags.get_double("scale", 1.0);
-    args.seeds = std::max(1, static_cast<int>(flags.get_int("seeds", 1)));
-    args.jobs = std::max(0, static_cast<int>(flags.get_int("jobs", 1)));
+    args.seeds = flags.get_int("seeds", 1, 1, kMaxCount);
+    args.jobs = flags.get_int("jobs", 1, 0, runner::Pool::kMaxWorkers);
     args.metrics = flags.get("metrics", "");
     args.trace = flags.get("trace", "");
     args.breakdown = flags.get("breakdown", "");

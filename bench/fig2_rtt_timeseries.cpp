@@ -18,7 +18,7 @@ int main(int argc, char** argv) {
   // --fleet=N replaces the synthetic shared-cell load under the ping rounds
   // with N simulated terminals contending for real per-cell capacity
   // (src/fleet/); 0 keeps the paper-calibrated LoadProcess.
-  args.env.fleet.size = static_cast<int>(flags.get_int("fleet", 0));
+  args.env.fleet.size = flags.get_int("fleet", 0, 0, bench::kMaxCount);
   bench::warn_unused(flags);
   bench::banner("Figure 2", "RTT to European anchors over the campaign timeline");
   if (args.env.fleet.size > 0) {

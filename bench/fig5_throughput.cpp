@@ -35,7 +35,7 @@ int main(int argc, char** argv) {
   // tests with N simulated terminals contending for real per-cell capacity
   // (src/fleet/); 0 keeps the paper-calibrated LoadProcess. SatCom tests
   // ignore it (their synthetic load stays).
-  args.env.fleet.size = static_cast<int>(flags.get_int("fleet", 0));
+  args.env.fleet.size = flags.get_int("fleet", 0, 0, bench::kMaxCount);
   bench::warn_unused(flags);
   bench::banner("Figure 5", "throughput distributions (Ookla TCP vs QUIC H3)");
   if (args.env.fleet.size > 0) {

@@ -94,7 +94,7 @@ int main(int argc, char** argv) {
   const Duration cadence = flags.get_duration("cadence", Duration::seconds(1));
   const Duration duration = flags.get_duration("duration", Duration::zero());
   const bool obstructions = flags.get_bool("obstructions", true);
-  args.env.fleet.size = static_cast<int>(flags.get_int("fleet", 0));
+  args.env.fleet.size = flags.get_int("fleet", 0, 0, bench::kMaxCount);
   bench::warn_unused(flags);
 
   bench::banner("Figure 7 (extension)", "RTT and loss in motion: the road-trip campaigns");

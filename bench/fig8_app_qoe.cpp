@@ -290,7 +290,7 @@ int main(int argc, char** argv) {
   const Flags flags = Flags::parse(argc, argv);
   auto args = bench::CommonArgs::parse(flags);
   const std::string app = flags.get("app", "all");
-  const int sessions = static_cast<int>(flags.get_int("sessions", args.scaled(2)));
+  const int sessions = flags.get_int("sessions", args.scaled(2), 1, bench::kMaxCount);
   const Duration duration = flags.get_duration("duration", Duration::zero());
   const Duration storm_blip = flags.get_duration("storm-blip", Duration::seconds(2));
   args.env.fleet = bench::parse_fleet(flags);

@@ -22,7 +22,7 @@ int main(int argc, char** argv) {
   using namespace slp;
   const Flags flags = Flags::parse(argc, argv);
   auto args = bench::CommonArgs::parse(flags);
-  const int terminals = static_cast<int>(flags.get_int("terminals", 10000));
+  const int terminals = flags.get_int("terminals", 10000, 1, bench::kMaxCount);
   const Duration duration = flags.get_duration("duration", Duration::hours(1));
   const double demand_scale = flags.get_double("demand-scale", 1.0);
 

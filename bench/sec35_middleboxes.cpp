@@ -5,6 +5,10 @@
 // handshake completes in the destination network and only checksums are
 // altered; ten Wehe runs find no traffic differentiation. The SatCom run
 // (the technology PEPs were built for) is included as the positive control.
+//
+// Each audit runs once per access (`MiddleboxAudit` results do not merge), so
+// --seeds and --jobs change nothing here; --scenario and --fast-forward
+// apply to both audits.
 #include <cstdio>
 
 #include "bench_common.hpp"
@@ -45,18 +49,17 @@ int main(int argc, char** argv) {
   obs::Snapshot all_obs;
   {
     measure::MiddleboxAudit::Config config;
-    config.seed = args.env.seed;
+    static_cast<measure::RunEnv&>(config) = args.env;
     config.access = measure::AccessKind::kStarlink;
-    config.obs = args.env.obs;
     const auto result = measure::MiddleboxAudit::run(config);
     obs::merge(all_obs, result.obs);
     print_audit("Starlink (paper: 2 NATs, checksums only, no PEP, no TD)", result);
   }
   {
     measure::MiddleboxAudit::Config config;
+    static_cast<measure::RunEnv&>(config) = args.env;
     config.seed = args.env.seed + 1;
     config.access = measure::AccessKind::kSatCom;
-    config.obs = args.env.obs;
     const auto result = measure::MiddleboxAudit::run(config);
     obs::merge(all_obs, result.obs);
     print_audit("SatCom control (PEPs are the norm on GEO links)", result);

@@ -14,6 +14,7 @@
 // Deterministic: seeds derive from (row, replication) alone and results are
 // folded in cell order, so any --jobs value prints the same bytes.
 #include <cstdio>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -21,6 +22,7 @@
 #include "fleet/campaign.hpp"
 #include "measure/campaign.hpp"
 #include "obs/recorder.hpp"
+#include "runner/pool.hpp"
 #include "runner/sweep.hpp"
 #include "stats/ecdf.hpp"
 #include "stats/table.hpp"
@@ -30,6 +32,8 @@
 namespace {
 
 using namespace slp;
+
+constexpr int kMaxCount = std::numeric_limits<int>::max();
 
 bool parse_access(const std::string& label, measure::AccessKind& out) {
   if (label == "leo" || label == "starlink") out = measure::AccessKind::kStarlink;
@@ -81,9 +85,9 @@ void write_file(const std::string& path, const std::string& body) {
 int main(int argc, char** argv) {
   const Flags flags = Flags::parse(argc, argv);
   const auto base_seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
-  const int seeds = std::max<int>(1, static_cast<int>(flags.get_int("seeds", 1)));
-  const int jobs = std::max<int>(0, static_cast<int>(flags.get_int("jobs", 1)));
-  const int tests = std::max<int>(1, static_cast<int>(flags.get_int("tests", 3)));
+  const int seeds = flags.get_int("seeds", 1, 1, kMaxCount);
+  const int jobs = flags.get_int("jobs", 1, 0, runner::Pool::kMaxWorkers);
+  const int tests = flags.get_int("tests", 3, 1, kMaxCount);
   const bool download = flags.get_bool("download", true);
   const auto grid_labels = flags.get_list("grid", {"leo", "geo", "wired"});
   const auto size_list = flags.get_double_list("sizes", {1, 1000, 5000});

@@ -14,6 +14,7 @@
 // seeds from (cell id, replication id) alone and results are folded in cell
 // order, never completion order (see src/runner/sweep.hpp).
 #include <cstdio>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -30,6 +31,8 @@
 namespace {
 
 using namespace slp;
+
+constexpr int kMaxCount = std::numeric_limits<int>::max();
 
 struct GridCell {
   std::string name;          // grid label: leo | geo | wired
@@ -49,9 +52,9 @@ bool parse_access(const std::string& label, measure::AccessKind& out) {
 int main(int argc, char** argv) {
   const Flags flags = Flags::parse(argc, argv);
   const auto base_seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
-  const int seeds = std::max<int>(1, static_cast<int>(flags.get_int("seeds", 4)));
-  const int jobs = std::max<int>(0, static_cast<int>(flags.get_int("jobs", 0)));
-  const int tests = std::max<int>(1, static_cast<int>(flags.get_int("tests", 4)));
+  const int seeds = flags.get_int("seeds", 4, 1, kMaxCount);
+  const int jobs = flags.get_int("jobs", 0, 0, runner::Pool::kMaxWorkers);
+  const int tests = flags.get_int("tests", 4, 1, kMaxCount);
   const bool download = flags.get_bool("download", true);
   const auto grid_labels = flags.get_list("grid", {"leo", "geo", "wired"});
   const auto loads = flags.get_double_list("loads", {1, 4, 8});

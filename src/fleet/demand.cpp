@@ -6,6 +6,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "util/rng.hpp"
+
 namespace slp::fleet {
 
 namespace {

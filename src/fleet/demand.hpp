@@ -1,10 +1,10 @@
 // demand.hpp — per-terminal traffic demand as a pure function of time.
 //
 // 10k terminals sampled every couple of seconds for simulated hours cannot
-// afford per-terminal cached sample vectors (the LoadProcess trick) — that
-// is O(terminals x steps) memory. Instead each terminal's demand is a
-// *stateless* counter-based function: activity and per-session rate are
-// derived by hashing (terminal seed, session index), so any (terminal, t)
+// afford per-terminal cached sample vectors — that is O(terminals x steps)
+// memory. Instead each terminal's demand is a *stateless* counter-based
+// function (mix64/mix_uniform, util/rng.hpp): activity and per-session rate
+// are derived by hashing (terminal seed, session index), so any (terminal, t)
 // query is O(1), random-access, and bit-identical regardless of query order,
 // thread count, or how often the fleet ticks.
 //
@@ -37,20 +37,6 @@ enum class DemandClass : std::uint8_t {
 };
 
 [[nodiscard]] std::string_view to_string(DemandClass c);
-
-/// splitmix64-style stateless mix of two words -> uniform u64 (the same
-/// finalizer runner::cell_seed uses for cell decorrelation).
-[[nodiscard]] constexpr std::uint64_t mix64(std::uint64_t a, std::uint64_t b) {
-  std::uint64_t z = a ^ (0x9E3779B97F4A7C15ull * (b + 0x632BE59BD9B4E019ull));
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-  return z ^ (z >> 31);
-}
-
-/// Uniform double in [0, 1) from the same mix.
-[[nodiscard]] constexpr double mix_uniform(std::uint64_t a, std::uint64_t b) {
-  return static_cast<double>(mix64(a, b) >> 11) * 0x1.0p-53;
-}
 
 class DemandModel {
  public:

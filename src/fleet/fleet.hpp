@@ -61,6 +61,7 @@
 #include "sim/simulator.hpp"
 #include "stats/groupby.hpp"
 #include "stats/quantiles.hpp"
+#include "util/rng.hpp"
 
 namespace slp::fleet {
 

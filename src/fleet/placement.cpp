@@ -9,6 +9,7 @@
 
 #include "fleet/demand.hpp"
 #include "leo/places.hpp"
+#include "util/rng.hpp"
 
 namespace slp::fleet {
 

@@ -31,27 +31,25 @@ WeheServer::WeheServer(sim::Host& host, Config config) : host_{&host}, config_{c
 }
 
 void WeheServer::stream(sim::Ipv4Addr dst, std::uint16_t dst_port, std::uint8_t dscp) {
-  const Duration spacing = config_.trace_rate.transmission_time(config_.packet_bytes);
-  const auto packets = static_cast<int>(config_.trace_duration / spacing);
-  auto timer = std::make_unique<sim::Timer>(host_->sim());
-  sim::Timer* t = timer.get();
-  timers_.push_back(std::move(timer));
+  const int packets = static_cast<int>(config_.trace_duration / spacing());
+  auto& replay = *replays_.emplace_back(
+      new Replay{sim::Timer{host_->sim()}, dst, dst_port, dscp, packets});
+  send_next(replay);
+}
 
-  auto remaining = std::make_shared<int>(packets);
-  auto tick = std::make_shared<std::function<void()>>();
-  *tick = [this, dst, dst_port, dscp, remaining, t, tick, spacing] {
-    if (--*remaining < 0) return;
-    sim::Packet pkt;
-    pkt.dst = dst;
-    pkt.dst_port = dst_port;
-    pkt.src_port = config_.port;
-    pkt.proto = sim::Protocol::kUdp;
-    pkt.size_bytes = config_.packet_bytes;
-    pkt.dscp = dscp;
-    host_->send(std::move(pkt));
-    if (*remaining > 0) t->arm(spacing, [tick] { (*tick)(); });
-  };
-  (*tick)();
+void WeheServer::send_next(Replay& replay) {
+  if (--replay.remaining < 0) return;
+  sim::Packet pkt;
+  pkt.dst = replay.dst;
+  pkt.dst_port = replay.dst_port;
+  pkt.src_port = config_.port;
+  pkt.proto = sim::Protocol::kUdp;
+  pkt.size_bytes = config_.packet_bytes;
+  pkt.dscp = replay.dscp;
+  host_->send(std::move(pkt));
+  if (replay.remaining > 0) {
+    replay.timer.arm(spacing(), [this, &replay] { send_next(replay); });
+  }
 }
 
 // ----------------------------------------------------------- WeheClient

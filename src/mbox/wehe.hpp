@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "sim/host.hpp"
@@ -68,11 +69,25 @@ class WeheServer {
   explicit WeheServer(sim::Host& host) : WeheServer(host, Config{}) {}
 
  private:
+  /// One paced replay toward a client; the server owns it, so its timer
+  /// callback can refer to it without keeping itself alive.
+  struct Replay {
+    sim::Timer timer;
+    sim::Ipv4Addr dst;
+    std::uint16_t dst_port;
+    std::uint8_t dscp;
+    int remaining;  ///< packets still to send
+  };
+
   void stream(sim::Ipv4Addr dst, std::uint16_t dst_port, std::uint8_t dscp);
+  void send_next(Replay& replay);
+  [[nodiscard]] Duration spacing() const {
+    return config_.trace_rate.transmission_time(config_.packet_bytes);
+  }
 
   sim::Host* host_;
   Config config_;
-  std::vector<std::unique_ptr<sim::Timer>> timers_;
+  std::vector<std::unique_ptr<Replay>> replays_;
 };
 
 /// Client side: runs `repetitions` paired replays and reports.

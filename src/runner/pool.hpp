@@ -26,6 +26,9 @@ namespace slp::runner {
 
 class Pool {
  public:
+  /// The widest pool a command-line flag may ask for (--jobs, --shards).
+  static constexpr int kMaxWorkers = 1024;
+
   /// Spawns `workers` threads (clamped to >= 1). `workers == 0` picks the
   /// hardware concurrency.
   explicit Pool(int workers = 0);

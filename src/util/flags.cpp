@@ -79,6 +79,18 @@ std::int64_t Flags::get_int(std::string_view key, std::int64_t def) const {
   return value;
 }
 
+int Flags::get_int(std::string_view key, int def, int min, int max) const {
+  const auto it = values_.find(key);
+  if (it == values_.end()) return def;
+  const std::int64_t value = get_int(key, def);
+  if (value < min || value > max) {
+    const std::string range = "an integer in [" + std::to_string(min) + ", " +
+                              std::to_string(max) + "]";
+    reject(it->first, it->second, range.c_str());
+  }
+  return static_cast<int>(value);
+}
+
 double Flags::get_double(std::string_view key, double def) const {
   const auto it = values_.find(key);
   if (it == values_.end()) return def;

@@ -29,6 +29,9 @@ class Flags {
   // typo as zero.
   [[nodiscard]] std::string get(std::string_view key, std::string_view def) const;
   [[nodiscard]] std::int64_t get_int(std::string_view key, std::int64_t def) const;
+  /// Bounded form: a present value outside [min, max] exits 2 as well, so a
+  /// count never narrows silently (`--seeds=4294967298` is not 2 seeds).
+  [[nodiscard]] int get_int(std::string_view key, int def, int min, int max) const;
   [[nodiscard]] double get_double(std::string_view key, double def) const;
   [[nodiscard]] bool get_bool(std::string_view key, bool def) const;
 

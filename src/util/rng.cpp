@@ -30,6 +30,12 @@ std::uint64_t fnv1a64(std::string_view s) {
   return h;
 }
 
+double mix_normal(std::uint64_t key, std::uint64_t counter) {
+  const double u1 = 1.0 - mix_uniform(key, 2 * counter);  // (0, 1]
+  const double u2 = mix_uniform(key, 2 * counter + 1);
+  return std::sqrt(-2.0 * std::log(u1)) * std::cos(2.0 * std::numbers::pi * u2);
+}
+
 void Rng::reseed(std::uint64_t seed) {
   seed_ = seed;
   std::uint64_t sm = seed;

@@ -64,4 +64,27 @@ class Rng {
 /// 64-bit FNV-1a hash; used for stable stream labels.
 [[nodiscard]] std::uint64_t fnv1a64(std::string_view s);
 
+// Counter-keyed draws: a pure function of (key, counter) instead of a
+// stream position, so a model can read any index in O(1), in any order, and
+// get the same bits (fleet::DemandModel's per-session draws,
+// phy::LoadProcess's per-step innovations).
+
+/// splitmix64-style stateless mix of two words -> uniform u64 (the same
+/// finalizer runner::cell_seed uses for cell decorrelation).
+[[nodiscard]] constexpr std::uint64_t mix64(std::uint64_t a, std::uint64_t b) {
+  std::uint64_t z = a ^ (0x9E3779B97F4A7C15ull * (b + 0x632BE59BD9B4E019ull));
+  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
+  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
+  return z ^ (z >> 31);
+}
+
+/// Uniform double in [0, 1) from the same mix.
+[[nodiscard]] constexpr double mix_uniform(std::uint64_t a, std::uint64_t b) {
+  return static_cast<double>(mix64(a, b) >> 11) * 0x1.0p-53;
+}
+
+/// Standard normal draw number `counter` of stream `key`: Box-Muller over
+/// the uniforms at counters 2*counter and 2*counter + 1.
+[[nodiscard]] double mix_normal(std::uint64_t key, std::uint64_t counter);
+
 }  // namespace slp

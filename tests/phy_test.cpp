@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <fstream>
+#include <numeric>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "phy/gilbert_elliott.hpp"
@@ -371,6 +376,201 @@ TEST(LoadProcess, OverrideClampsToConfiguredBounds) {
   EXPECT_DOUBLE_EQ(load.utilization(TimePoint::epoch()), 0.8);
   load.set_utilization_override(0.0);
   EXPECT_DOUBLE_EQ(load.utilization(TimePoint::epoch()), 0.1);
+}
+
+// The shared-cell shape StarlinkAccess ships (2 s steps, a = 0.85), with
+// the clamp moved out of reach so the tests see the raw AR(1) deviation.
+LoadProcess::Config unclamped_cell_load() {
+  LoadProcess::Config cfg;
+  cfg.mean_utilization = 0.5;
+  cfg.volatility = 0.02;
+  cfg.reversion = 0.15;
+  cfg.step = Duration::seconds(2);
+  cfg.floor = 0.0;
+  cfg.ceiling = 1.0;
+  return cfg;
+}
+
+constexpr std::int64_t kStepsPerDay = 86'400 / 2;
+
+TimePoint at_step(std::int64_t step) {
+  return TimePoint::epoch() + Duration::seconds(2) * static_cast<double>(step);
+}
+
+/// x_n written out from the model's definition: the key is the first draw
+/// of the Rng handed to the constructor.
+double moving_average_reference(const LoadProcess::Config& cfg, Rng rng, std::int64_t n,
+                                int terms) {
+  const std::uint64_t key = rng.next();
+  const double a = 1.0 - cfg.reversion;
+  double weight = cfg.volatility;
+  double sum = 0.0;
+  for (std::int64_t k = 0; k <= std::min<std::int64_t>(n, terms - 1); ++k) {
+    sum += weight * mix_normal(key, static_cast<std::uint64_t>(n - k));
+    weight *= a;
+  }
+  return cfg.mean_utilization + sum;
+}
+
+TEST(LoadProcess, TermCountFollowsTheTailBound) {
+  // Smallest K with a^(2K) < 1e-9: 64 at the shipped a = 0.85, 1 when the
+  // process forgets everything each step.
+  EXPECT_EQ((LoadProcess{unclamped_cell_load(), Rng{1}}.terms()), 64);
+  LoadProcess::Config memoryless = unclamped_cell_load();
+  memoryless.reversion = 1.0;
+  EXPECT_EQ((LoadProcess{memoryless, Rng{1}}.terms()), 1);
+  LoadProcess::Config stock;  // a = 0.8
+  const int k = LoadProcess{stock, Rng{1}}.terms();
+  EXPECT_LT(std::pow(0.8, 2 * k), 1e-9);
+  EXPECT_GE(std::pow(0.8, 2 * (k - 1)), 1e-9);
+}
+
+TEST(LoadProcess, ReversionOutsideUnitIntervalThrows) {
+  // 1e-300 is positive but leaves a == 1: a random walk, no finite K.
+  for (const double r : {0.0, -0.1, 1.5, 1e-300, std::nan("")}) {
+    LoadProcess::Config cfg;
+    cfg.reversion = r;
+    EXPECT_THROW((LoadProcess{cfg, Rng{1}}), std::invalid_argument) << "reversion " << r;
+  }
+}
+
+TEST(LoadProcess, MatchesTheTruncatedMovingAverage) {
+  const LoadProcess::Config cfg = unclamped_cell_load();
+  LoadProcess load{cfg, Rng{21}};
+  // Inside the first K steps (the sum is cut at t = 0) and far beyond them.
+  for (const std::int64_t n : {std::int64_t{0}, std::int64_t{1}, std::int64_t{63},
+                               std::int64_t{64}, std::int64_t{1000}, 140 * kStepsPerDay}) {
+    EXPECT_DOUBLE_EQ(load.utilization(at_step(n)),
+                     moving_average_reference(cfg, Rng{21}, n, load.terms()))
+        << "step " << n;
+  }
+}
+
+TEST(LoadProcess, StartsAtTheMeanWithOneInnovationOfSpread) {
+  // x_0 = volatility * eps_0: one innovation from the mean, not the
+  // stationary spread volatility / sqrt(1 - a^2) (1.9x larger at a = 0.85).
+  const LoadProcess::Config cfg = unclamped_cell_load();
+  const int n = 4000;
+  std::vector<double> dev;
+  for (int seed = 1; seed <= n; ++seed) {
+    LoadProcess load{cfg, Rng{static_cast<std::uint64_t>(seed)}};
+    const double u = load.utilization(TimePoint::epoch());
+    EXPECT_EQ(u, moving_average_reference(cfg, Rng{static_cast<std::uint64_t>(seed)}, 0, 1));
+    dev.push_back(u - cfg.mean_utilization);
+  }
+  const double mean = std::accumulate(dev.begin(), dev.end(), 0.0) / n;
+  double var = 0.0;
+  for (const double d : dev) var += (d - mean) * (d - mean);
+  const double sd = std::sqrt(var / (n - 1));
+  // Five standard errors: sigma / sqrt(n) for the mean, sigma / sqrt(2n)
+  // for the sample sd of a normal.
+  EXPECT_NEAR(mean, 0.0, 5.0 * cfg.volatility / std::sqrt(n));
+  EXPECT_NEAR(sd, cfg.volatility, 5.0 * cfg.volatility / std::sqrt(2.0 * n));
+}
+
+TEST(LoadProcess, QueryOrderDoesNotChangeAnyValue) {
+  // 146 days of 2 s steps, sampled at a stride that is prime to every
+  // period in the model, plus one run of consecutive steps.
+  const LoadProcess::Config cfg = unclamped_cell_load();
+  std::vector<std::int64_t> steps;
+  for (std::int64_t n = 0; n < 146 * kStepsPerDay; n += 631) steps.push_back(n);
+  for (std::int64_t n = 140 * kStepsPerDay; n < 140 * kStepsPerDay + 200; ++n) {
+    steps.push_back(n);
+  }
+
+  LoadProcess forward{cfg, Rng{22}};
+  std::vector<double> expected;
+  for (const std::int64_t n : steps) expected.push_back(forward.utilization(at_step(n)));
+
+  LoadProcess backward{cfg, Rng{22}};
+  for (std::size_t i = steps.size(); i-- > 0;) {
+    ASSERT_EQ(backward.utilization(at_step(steps[i])), expected[i]) << "step " << steps[i];
+  }
+
+  std::vector<std::size_t> order(steps.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  Rng shuffle{23};
+  std::shuffle(order.begin(), order.end(), shuffle);
+  LoadProcess shuffled{cfg, Rng{22}};
+  for (const std::size_t i : order) {
+    ASSERT_EQ(shuffled.utilization(at_step(steps[i])), expected[i]) << "step " << steps[i];
+  }
+  // The forward instance itself, re-read after everything else.
+  for (const std::size_t i : order) {
+    ASSERT_EQ(forward.utilization(at_step(steps[i])), expected[i]) << "step " << steps[i];
+  }
+}
+
+TEST(LoadProcess, Day140FirstQueryEqualsTheWalkFromZero) {
+  const LoadProcess::Config cfg = unclamped_cell_load();
+  const std::int64_t target = 140 * kStepsPerDay + 17;
+  LoadProcess cold{cfg, Rng{24}};
+  const double first = cold.utilization(at_step(target));
+
+  // Walk from t = 0 hourly, then step by step through the last 2K steps,
+  // the window every term of the target's sum reads.
+  LoadProcess walked{cfg, Rng{24}};
+  std::int64_t n = 0;
+  for (; n < target - 2 * walked.terms(); n += 1800) (void)walked.utilization(at_step(n));
+  for (n = target - 2 * walked.terms(); n < target; ++n) (void)walked.utilization(at_step(n));
+  EXPECT_EQ(walked.utilization(at_step(target)), first);
+}
+
+TEST(LoadProcess, StationaryAutocorrelationAndSpreadMatchTheAr1) {
+  const LoadProcess::Config cfg = unclamped_cell_load();
+  const double a = 1.0 - cfg.reversion;
+  LoadProcess load{cfg, Rng{25}};
+  // Skip the start-up (the variance reaches its stationary value within
+  // K steps), then read n consecutive steps.
+  const int n = 200'000;
+  const std::int64_t first = 1000;
+  std::vector<double> x;
+  x.reserve(n);
+  for (int i = 0; i < n; ++i) x.push_back(load.utilization(at_step(first + i)));
+  const double mean = std::accumulate(x.begin(), x.end(), 0.0) / n;
+  double c0 = 0.0;
+  double c1 = 0.0;
+  for (int i = 0; i < n; ++i) {
+    c0 += (x[i] - mean) * (x[i] - mean);
+    if (i + 1 < n) c1 += (x[i] - mean) * (x[i + 1] - mean);
+  }
+  const double rho1 = c1 / c0;
+  const double sd = std::sqrt(c0 / n);
+  const double stationary_sd = cfg.volatility / std::sqrt(1.0 - a * a);
+  // Five standard errors of each AR(1) estimate over n samples:
+  // sqrt((1 - a^2) / n) for the lag-1 autocorrelation, and a relative
+  // sqrt((1 + a^2) / (2 n (1 - a^2))) for the sample sd.
+  EXPECT_NEAR(rho1, a, 5.0 * std::sqrt((1.0 - a * a) / n));
+  EXPECT_NEAR(sd, stationary_sd,
+              5.0 * stationary_sd * std::sqrt((1.0 + a * a) / (2.0 * n * (1.0 - a * a))));
+}
+
+/// Resident set of this process in kB (VmRSS), or -1 where /proc is absent.
+long resident_kb() {
+  std::ifstream status{"/proc/self/status"};
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmRSS:", 0) == 0) return std::stol(line.substr(6));
+  }
+  return -1;
+}
+
+TEST(LoadProcess, ResidentMemoryStaysFlatOverThe146DayHorizon) {
+  if (resident_kb() < 0) GTEST_SKIP() << "no /proc/self/status VmRSS";
+  // Hourly queries over the paper's five months, both directions of a cell.
+  // A process that stored one value per 2 s step would grow by ~50 MB per
+  // direction here.
+  LoadProcess down{unclamped_cell_load(), Rng{26}};
+  LoadProcess up{unclamped_cell_load(), Rng{27}};
+  const long before = resident_kb();
+  double sum = 0.0;
+  for (int hour = 0; hour <= 146 * 24; ++hour) {
+    const TimePoint t = TimePoint::epoch() + Duration::hours(hour);
+    sum += down.utilization(t) + up.utilization(t);
+  }
+  const long grown = resident_kb() - before;
+  EXPECT_GT(sum, 0.0);
+  EXPECT_LT(grown, 1024) << "VmRSS grew by " << grown << " kB";
 }
 
 }  // namespace

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <set>
 #include <sstream>
 #include <string>
@@ -194,6 +196,25 @@ TEST(Rng, WorksWithStdDistributions) {
   }
 }
 
+TEST(Rng, MixNormalIsAPureStandardNormal) {
+  // Counter-keyed: the same (key, counter) gives the same bits, whatever was
+  // drawn in between, and different keys give different streams.
+  EXPECT_EQ(mix_normal(77, 12345), mix_normal(77, 12345));
+  EXPECT_NE(mix_normal(77, 12345), mix_normal(78, 12345));
+  const int n = 100'000;
+  double sum = 0.0;
+  double sum_sq = 0.0;
+  for (int i = 0; i < n; ++i) {
+    const double z = mix_normal(77, static_cast<std::uint64_t>(i));
+    sum += z;
+    sum_sq += z * z;
+  }
+  const double mean = sum / n;
+  // Five standard errors: 1/sqrt(n) for the mean, sqrt(2/n) for E[z^2].
+  EXPECT_NEAR(mean, 0.0, 5.0 / std::sqrt(n));
+  EXPECT_NEAR(sum_sq / n, 1.0, 5.0 * std::sqrt(2.0 / n));
+}
+
 // ---------------------------------------------------------------- Flags
 
 TEST(Flags, ParsesKeyValueAndBareFlags) {
@@ -316,6 +337,38 @@ TEST(FlagsDeathTest, OutOfRangeValueExitsTwo) {
               "error: --seed=99999999999999999999 is not an integer");
   EXPECT_EXIT((void)f.get_double("scale", 1.0), testing::ExitedWithCode(2),
               "error: --scale=1e999 is not a number");
+}
+
+// A count that fits int64 but not its range exits 2 instead of narrowing:
+// --seeds=4294967298 used to run 2 seed cells.
+TEST(FlagsDeathTest, BoundedIntRejectsOutOfRangeCounts) {
+  const char* argv[] = {"prog",       "--seeds=0",  "--big=4294967298", "--jobs=-1",
+                        "--fleet=-5", "--shards=2", "--terminals=0"};
+  const Flags f = Flags::parse(7, argv);
+  constexpr int kMax = std::numeric_limits<int>::max();
+  EXPECT_EXIT((void)f.get_int("seeds", 1, 1, kMax), testing::ExitedWithCode(2),
+              "error: --seeds=0 is not an integer in \\[1, 2147483647\\]");
+  EXPECT_EXIT((void)f.get_int("big", 1, 1, kMax), testing::ExitedWithCode(2),
+              "error: --big=4294967298 is not an integer in");
+  EXPECT_EXIT((void)f.get_int("jobs", 1, 0, 1024), testing::ExitedWithCode(2),
+              "error: --jobs=-1 is not an integer in \\[0, 1024\\]");
+  EXPECT_EXIT((void)f.get_int("fleet", 0, 0, kMax), testing::ExitedWithCode(2),
+              "error: --fleet=-5 is not an integer in");
+  EXPECT_EXIT((void)f.get_int("shards", 1, 0, 1), testing::ExitedWithCode(2),
+              "error: --shards=2 is not an integer in \\[0, 1\\]");
+  EXPECT_EXIT((void)f.get_int("terminals", 10, 1, kMax), testing::ExitedWithCode(2),
+              "error: --terminals=0 is not an integer in");
+}
+
+TEST(Flags, BoundedIntAcceptsTheRangeAndDefaults) {
+  const char* argv[] = {"prog", "--seeds=1", "--jobs=1024", "--fleet=2147483647"};
+  const Flags f = Flags::parse(4, argv);
+  EXPECT_EQ(f.get_int("seeds", 3, 1, 10), 1);
+  EXPECT_EQ(f.get_int("jobs", 1, 0, 1024), 1024);
+  EXPECT_EQ(f.get_int("fleet", 0, 0, std::numeric_limits<int>::max()),
+            std::numeric_limits<int>::max());
+  // An absent key returns the default without a range check.
+  EXPECT_EQ(f.get_int("absent", 7, 1, 5), 7);
 }
 
 // ---------------------------------------------------------- InlineFunction
