@@ -96,11 +96,14 @@ inline std::vector<std::string> boxplot_row(const std::string& name,
 }
 
 /// Typo guard: call after every flag has been read (Flags tracks used keys
-/// lazily, so benches with extra flags read them first, then warn once).
-inline void warn_unused(const Flags& flags) {
-  for (const auto& key : flags.unused()) {
-    std::fprintf(stderr, "warning: unknown flag --%s\n", key.c_str());
+/// lazily, so benches with extra flags read them first, then check once).
+/// Names every unknown flag and exits 2 if there is any.
+inline void reject_unknown_flags(const Flags& flags) {
+  const std::vector<std::string> unknown = flags.unused();
+  for (const auto& key : unknown) {
+    std::fprintf(stderr, "error: unknown flag --%s\n", key.c_str());
   }
+  if (!unknown.empty()) std::exit(2);
 }
 
 /// Shared fleet flags (EXPERIMENTS.md "Continental campaigns"):
@@ -171,12 +174,12 @@ struct CommonArgs {
   static CommonArgs parse(int argc, char** argv) {
     const Flags flags = Flags::parse(argc, argv);
     CommonArgs args = parse(flags);
-    warn_unused(flags);
+    reject_unknown_flags(flags);
     return args;
   }
 
   /// Same, from an existing Flags set — for benches with extra flags, which
-  /// read theirs afterwards and then call warn_unused themselves.
+  /// read theirs afterwards and then call reject_unknown_flags themselves.
   static CommonArgs parse(const Flags& flags) {
     CommonArgs args;
     args.env.seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));

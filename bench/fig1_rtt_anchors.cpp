@@ -21,9 +21,6 @@ namespace {
 
 int run_multivantage(const slp::bench::CommonArgs& args, const slp::Flags& flags) {
   using namespace slp;
-  bench::banner("Figure 1 (multi-vantage)",
-                "the 11 anchor metros as measured terminals in one fleet");
-
   measure::MultiVantageCampaign::Config config;
   config.seed = args.env.seed;
   config.duration = flags.get_duration(
@@ -31,7 +28,10 @@ int run_multivantage(const slp::bench::CommonArgs& args, const slp::Flags& flags
   config.cadence = Duration::minutes(5);
   config.fleet = args.env.fleet;
   config.obs = args.env.obs;
-  bench::warn_unused(flags);
+  bench::reject_unknown_flags(flags);
+
+  bench::banner("Figure 1 (multi-vantage)",
+                "the 11 anchor metros as measured terminals in one fleet");
 
   const auto result =
       runner::run_merged<measure::MultiVantageCampaign>(args.sweep(), config);
@@ -72,6 +72,7 @@ int main(int argc, char** argv) {
   auto args = bench::CommonArgs::parse(flags);
   args.env.fleet = bench::parse_fleet(flags);
   if (flags.get_bool("multivantage", false)) return run_multivantage(args, flags);
+  bench::reject_unknown_flags(flags);
 
   bench::banner("Figure 1", "RTT distribution towards the 11 anchors (ping)");
 
@@ -82,7 +83,6 @@ int main(int argc, char** argv) {
   config.duration = Duration::hours(static_cast<std::int64_t>(48 * args.scale));
   config.cadence = Duration::minutes(5);
   config.epochs = false;  // Figure 1 aggregates; epochs belong to Figure 2
-  bench::warn_unused(flags);
   const auto result = bench::run_sweep<measure::PingCampaign>(args, config);
 
   // The paper's published per-anchor reference points (median / min).

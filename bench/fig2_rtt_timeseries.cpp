@@ -19,7 +19,7 @@ int main(int argc, char** argv) {
   // with N simulated terminals contending for real per-cell capacity
   // (src/fleet/); 0 keeps the paper-calibrated LoadProcess.
   args.env.fleet.size = flags.get_int("fleet", 0, 0, bench::kMaxCount);
-  bench::warn_unused(flags);
+  bench::reject_unknown_flags(flags);
   bench::banner("Figure 2", "RTT to European anchors over the campaign timeline");
   if (args.env.fleet.size > 0) {
     std::printf("shared-cell load: real contention from a %d-terminal fleet\n",

@@ -34,7 +34,7 @@ int main(int argc, char** argv) {
   // (src/fleet/); 0 keeps the paper-calibrated LoadProcess.
   bench::CommonArgs h3_args = args;
   h3_args.env.fleet.size = flags.get_int("fleet", 0, 0, bench::kMaxCount);
-  bench::warn_unused(flags);
+  bench::reject_unknown_flags(flags);
   bench::banner("Figure 3 / §3.1", "RTT under load: H3 bulk and messages, both directions");
   if (h3_args.env.fleet.size > 0) {
     std::printf("shared-cell load: real contention from a %d-terminal fleet\n",

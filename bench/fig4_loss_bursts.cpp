@@ -35,7 +35,7 @@ int main(int argc, char** argv) {
   // --fleet=N puts simulated neighbour contention under all four transfers
   // (plus the continental/aggregation knobs, bench_common.hpp).
   args.env.fleet = bench::parse_fleet(flags);
-  bench::warn_unused(flags);
+  bench::reject_unknown_flags(flags);
   bench::banner("Figure 4", "loss burst length distributions (H3 vs messages)");
 
   measure::H3Campaign::Config h3_down_cfg;

@@ -36,7 +36,7 @@ int main(int argc, char** argv) {
   // (src/fleet/); 0 keeps the paper-calibrated LoadProcess. SatCom tests
   // ignore it (their synthetic load stays).
   args.env.fleet.size = flags.get_int("fleet", 0, 0, bench::kMaxCount);
-  bench::warn_unused(flags);
+  bench::reject_unknown_flags(flags);
   bench::banner("Figure 5", "throughput distributions (Ookla TCP vs QUIC H3)");
   if (args.env.fleet.size > 0) {
     std::printf("shared-cell load: real contention from a %d-terminal fleet\n",

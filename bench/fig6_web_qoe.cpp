@@ -21,7 +21,7 @@ int main(int argc, char** argv) {
   // Starlink rows (plus the continental/aggregation knobs, bench_common.hpp);
   // SatCom/wired accesses ignore it.
   args.env.fleet = bench::parse_fleet(flags);
-  bench::warn_unused(flags);
+  bench::reject_unknown_flags(flags);
   bench::banner("Figure 6", "web QoE: onLoad and SpeedIndex across accesses");
 
   struct Row {

@@ -95,7 +95,7 @@ int main(int argc, char** argv) {
   const Duration duration = flags.get_duration("duration", Duration::zero());
   const bool obstructions = flags.get_bool("obstructions", true);
   args.env.fleet.size = flags.get_int("fleet", 0, 0, bench::kMaxCount);
-  bench::warn_unused(flags);
+  bench::reject_unknown_flags(flags);
 
   bench::banner("Figure 7 (extension)", "RTT and loss in motion: the road-trip campaigns");
 

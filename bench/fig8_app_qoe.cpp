@@ -294,7 +294,7 @@ int main(int argc, char** argv) {
   const Duration duration = flags.get_duration("duration", Duration::zero());
   const Duration storm_blip = flags.get_duration("storm-blip", Duration::seconds(2));
   args.env.fleet = bench::parse_fleet(flags);
-  bench::warn_unused(flags);
+  bench::reject_unknown_flags(flags);
 
   if (app != "all" && app != "abr" && app != "vc" && app != "game") {
     std::fprintf(stderr, "error: --app=%s (known: abr vc game all)\n", app.c_str());

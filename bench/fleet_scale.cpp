@@ -37,7 +37,7 @@ int main(int argc, char** argv) {
   fleet.placement.cell_km = flags.get_double("cell-km", fleet.placement.cell_km);
   fleet.demand.scale_down = demand_scale;
   fleet.demand.scale_up = demand_scale;
-  bench::warn_unused(flags);
+  bench::reject_unknown_flags(flags);
 
   std::printf("fleet: %d terminals, %.0f s simulated, %d seed cell(s), %d job(s), "
               "%d shard(s)%s\n\n",

@@ -97,8 +97,11 @@ int main(int argc, char** argv) {
   const std::string trace_path = flags.get("trace", "");
   Logger::instance().set_level(
       parse_log_level(flags.get("log-level", "warn"), LogLevel::kWarn));
-  for (const auto& key : flags.unused()) {
-    std::fprintf(stderr, "warning: unknown flag --%s\n", key.c_str());
+  if (const std::vector<std::string> unknown = flags.unused(); !unknown.empty()) {
+    for (const auto& key : unknown) {
+      std::fprintf(stderr, "error: unknown flag --%s\n", key.c_str());
+    }
+    return 2;
   }
 
   obs::Options obs_opts;

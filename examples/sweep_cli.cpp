@@ -82,8 +82,11 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  for (const auto& key : flags.unused()) {
-    std::fprintf(stderr, "warning: unknown flag --%s\n", key.c_str());
+  if (const std::vector<std::string> unknown = flags.unused(); !unknown.empty()) {
+    for (const auto& key : unknown) {
+      std::fprintf(stderr, "error: unknown flag --%s\n", key.c_str());
+    }
+    return 2;
   }
 
   std::vector<GridCell> grid_cells;

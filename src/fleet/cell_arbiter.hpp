@@ -68,6 +68,12 @@ class CellArbiter {
   /// Transitions between zero and positive demand count as active-set
   /// attach/detach in the stats.
   bool set_demand(TerminalId id, DataRate down, DataRate up);
+  /// Same, addressing the member by its position in id order (`index` <
+  /// members()): the k-th smallest attached id. Fleet cells attach their
+  /// background range [first, first + count) and only larger (vantage and
+  /// foreground) ids besides, so member k is terminal first + k — the
+  /// epoch loop needs no id search.
+  bool set_member_demand(std::size_t index, DataRate down, DataRate up);
 
   /// Serving-satellite change for this cell: beams are re-granted, so the
   /// allocation epoch advances.
@@ -91,6 +97,10 @@ class CellArbiter {
   /// Last-computed allocation of a member (elastic members report the
   /// capacity the foreground sees). Zero for unknown ids.
   [[nodiscard]] DataRate allocation(TerminalId id, int direction) const;
+  /// Allocation of the member at `index` in id order (see set_member_demand).
+  [[nodiscard]] DataRate member_allocation(std::size_t index, int direction) const {
+    return DataRate::bps(members_[index].alloc_bps[direction]);
+  }
 
   /// Sum of background allocations in `direction` (work-conservation
   /// checks: equals min(total demand, schedulable capacity)).

@@ -46,11 +46,15 @@ const DemandModel::ClassProfile& DemandModel::profile(DemandClass c) const {
   return config_.idle;
 }
 
+DemandModel::DemandModel(Config config)
+    : config_{config},
+      class_total_{std::max(1e-12, config.bulk.fraction + config.speedtest.fraction +
+                                       config.web.fraction + config.video.fraction +
+                                       config.vc.fraction + config.game.fraction +
+                                       config.idle.fraction)} {}
+
 DemandClass DemandModel::class_of(std::uint64_t terminal_seed) const {
-  const double total = config_.bulk.fraction + config_.speedtest.fraction +
-                       config_.web.fraction + config_.video.fraction + config_.vc.fraction +
-                       config_.game.fraction + config_.idle.fraction;
-  double pick = mix_uniform(terminal_seed, kClassStream) * std::max(1e-12, total);
+  double pick = mix_uniform(terminal_seed, kClassStream) * class_total_;
   // The QoE classes draw after web with fraction 0 by default: subtracting
   // zero never flips the comparison, so the stock mix assigns every terminal
   // exactly the class it had before these classes existed.
@@ -63,12 +67,12 @@ DemandClass DemandModel::class_of(std::uint64_t terminal_seed) const {
   return DemandClass::kIdle;
 }
 
-DemandModel::Demand DemandModel::at(std::uint64_t terminal_seed, TimePoint t) const {
+DemandModel::Demand DemandModel::at(std::uint64_t terminal_seed, const Instant& now) const {
   const ClassProfile& p = profile(class_of(terminal_seed));
   const auto session =
-      static_cast<std::uint64_t>(std::max<std::int64_t>(0, t.ns()) / p.session.ns());
+      static_cast<std::uint64_t>(std::max<std::int64_t>(0, now.t.ns()) / p.session.ns());
 
-  const double duty = p.duty * diurnal_factor(t);
+  const double duty = p.duty * now.diurnal;
   if (mix_uniform(terminal_seed ^ kActiveStream, session) >= duty) return {};
 
   // Per-session rate jitter in [0.5, 1.5): sessions differ, but the rate is

@@ -76,7 +76,7 @@ class DemandModel {
     Duration diurnal_period = Duration::hours(24);
   };
 
-  explicit DemandModel(Config config) : config_{config} {}
+  explicit DemandModel(Config config);
 
   [[nodiscard]] const Config& config() const { return config_; }
 
@@ -90,8 +90,19 @@ class DemandModel {
     [[nodiscard]] bool active() const { return !down.is_zero() || !up.is_zero(); }
   };
 
+  /// The terminal-independent terms of at(): a fleet epoch evaluates them
+  /// once and then queries every terminal against the same Instant.
+  struct Instant {
+    TimePoint t;
+    double diurnal = 1.0;  ///< diurnal_factor(t)
+  };
+  [[nodiscard]] Instant instant(TimePoint t) const { return {t, diurnal_factor(t)}; }
+
   /// Demand of a terminal at time t. Pure: no state is read or written.
-  [[nodiscard]] Demand at(std::uint64_t terminal_seed, TimePoint t) const;
+  [[nodiscard]] Demand at(std::uint64_t terminal_seed, const Instant& now) const;
+  [[nodiscard]] Demand at(std::uint64_t terminal_seed, TimePoint t) const {
+    return at(terminal_seed, instant(t));
+  }
 
   /// Expected long-run downlink/uplink demand of one average terminal (the
   /// class-mix mean) — used to report the implied per-cell utilization.
@@ -110,6 +121,8 @@ class DemandModel {
   [[nodiscard]] const ClassProfile& profile(DemandClass c) const;
 
   Config config_;
+  /// Sum of the class fractions (floored at 1e-12): the class draw's scale.
+  double class_total_;
 };
 
 /// Named fleet traffic mixes for the `--fleet-mix` flag. Presets:

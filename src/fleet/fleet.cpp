@@ -23,6 +23,13 @@ std::vector<double> util_edges() {
   return edges;
 }
 
+/// The group behind a cached handle, taking the handle on first use.
+stats::KeyedSamples::Group& slot(stats::KeyedSamples::Group*& handle, stats::KeyedSamples& ks,
+                                 std::uint64_t key) {
+  if (handle == nullptr) handle = &ks.group(key);
+  return *handle;
+}
+
 std::vector<double> mbps_edges() {
   std::vector<double> edges;
   edges.reserve(13);
@@ -129,6 +136,7 @@ void Fleet::make_cell(CellId id, const Placement::CellRange* range) {
     c.first_terminal = range->first;
     c.terminal_count = range->count;
   }
+  c.terminal_down.assign(c.terminal_count, nullptr);
   for (std::uint32_t k = 0; k < c.terminal_count; ++k) {
     c.arbiter->attach(c.first_terminal + k, config_.terminal_weight, /*elastic=*/false);
   }
@@ -167,6 +175,7 @@ void Fleet::ensure_scheduler(Cell& c) {
 }
 
 void Fleet::fold_into_aggregate(CellId base, std::uint32_t count) {
+  aggregate_slots_.clear();
   const CellId super = hier_.super_of(base);
   const auto it =
       std::lower_bound(aggregates_.begin(), aggregates_.end(), super,
@@ -180,6 +189,7 @@ void Fleet::fold_into_aggregate(CellId base, std::uint32_t count) {
 }
 
 void Fleet::take_from_aggregate(CellId base, std::uint32_t count) {
+  aggregate_slots_.clear();
   const CellId super = hier_.super_of(base);
   const auto it =
       std::lower_bound(aggregates_.begin(), aggregates_.end(), super,
@@ -295,7 +305,8 @@ std::uint64_t Fleet::aggregated_terminal_count() const {
   return total;
 }
 
-double Fleet::analytic_util(int direction, const Aggregate& a, TimePoint t) const {
+double Fleet::analytic_util(int direction, const Aggregate& a,
+                            const DemandModel::Demand& expected) const {
   const phy::LoadProcess::Config& load = direction == CellArbiter::kUp
                                              ? arb_config_.uplink_load
                                              : arb_config_.downlink_load;
@@ -303,12 +314,11 @@ double Fleet::analytic_util(int direction, const Aggregate& a, TimePoint t) cons
   if (a.cells > 0) {
     // Mean per-cell offered load over the supercell: terminals spread evenly
     // across its populated cells, each demanding the class-mix expectation
-    // at t. The same floor/ceiling clamps bound it that bound a real
-    // arbiter's contention term.
-    const DemandModel::Demand e = demand_.expected_at(t);
+    // at t (`expected`). The same floor/ceiling clamps bound it that bound a
+    // real arbiter's contention term.
     const double per_cell_bps =
         static_cast<double>(a.terminals) / static_cast<double>(a.cells) *
-        (direction == CellArbiter::kUp ? e.up : e.down).bits_per_second();
+        (direction == CellArbiter::kUp ? expected.up : expected.down).bits_per_second();
     const double nominal = (direction == CellArbiter::kUp ? arb_config_.cell_uplink
                                                           : arb_config_.cell_downlink)
                                .bits_per_second();
@@ -353,53 +363,55 @@ void Fleet::update_shape_gauges() {
   }
 }
 
-void Fleet::step_cell(Cell& c, TimePoint now, CellTick& out) {
+void Fleet::step_cell(Cell& c, const DemandModel::Instant& now, CellTick& out) {
   out.active_down.clear();
   // Cells without a scheduler of their own: only the current foreground
   // cell may fall back to the access's scheduler (a cell the foreground
   // migrated out of and left empty has nobody watching its sky).
   if (config_.handovers && (c.scheduler != nullptr || c.id == foreground_cell_id_)) {
     const leo::HandoverScheduler::Path& path = c.scheduler != nullptr
-                                                   ? c.scheduler->path_at(now)
-                                                   : access_->scheduler().path_at(now);
+                                                   ? c.scheduler->path_at(now.t)
+                                                   : access_->scheduler().path_at(now.t);
     if (path.connected) {
       if (c.had_sat && !(path.sat == c.last_sat)) c.arbiter->note_handover();
       c.last_sat = path.sat;
       c.had_sat = true;
     }
   }
+  // Background member k is terminal first_terminal + k (make_cell attaches
+  // the range; vantage and foreground ids sort after it).
   for (std::uint32_t k = 0; k < c.terminal_count; ++k) {
-    const TerminalId id = c.first_terminal + k;
-    const DemandModel::Demand d = demand_.at(terminal_seed(id), now);
-    c.arbiter->set_demand(id, d.down, d.up);
+    const DemandModel::Demand d = demand_.at(terminal_seed(c.first_terminal + k), now);
+    c.arbiter->set_member_demand(k, d.down, d.up);
+    if (d.active()) out.active_down.emplace_back(k, 0.0);
   }
-  c.arbiter->reallocate(now);
-  out.util_down = c.arbiter->utilization(CellArbiter::kDown, now);
-  out.util_up = c.arbiter->utilization(CellArbiter::kUp, now);
-  for (std::uint32_t k = 0; k < c.terminal_count; ++k) {
-    const TerminalId id = c.first_terminal + k;
-    if (demand_.at(terminal_seed(id), now).active()) {
-      out.active_down.emplace_back(
-          id, c.arbiter->allocation(id, CellArbiter::kDown).bits_per_second() / 1e6);
-    }
+  c.arbiter->reallocate(now.t);
+  out.util_down = c.arbiter->utilization(CellArbiter::kDown, now.t);
+  out.util_up = c.arbiter->utilization(CellArbiter::kUp, now.t);
+  for (auto& [k, mbps] : out.active_down) {
+    mbps = c.arbiter->member_allocation(k, CellArbiter::kDown).bits_per_second() / 1e6;
   }
 }
 
-void Fleet::fold_cell(const Cell& c, const CellTick& t) {
-  cell_util_down_.add(c.id, t.util_down);
-  cell_util_up_.add(c.id, t.util_up);
-  for (const auto& [id, mbps] : t.active_down) terminal_down_mbps_.add(id, mbps);
+void Fleet::fold_cell(Cell& c, const CellTick& t) {
+  cell_util_down_.add(slot(c.util_down, cell_util_down_, c.id), t.util_down);
+  cell_util_up_.add(slot(c.util_up, cell_util_up_, c.id), t.util_up);
+  for (const auto& [k, mbps] : t.active_down) {
+    terminal_down_mbps_.add(
+        slot(c.terminal_down[k], terminal_down_mbps_, c.first_terminal + k), mbps);
+  }
 }
 
 void Fleet::tick() {
   const obs::SectionTimer wall{obs::Section::kArbiter};
   const TimePoint now = sim_->now();
+  const DemandModel::Instant instant = demand_.instant(now);
   const std::size_t n = cells_.size();
   if (config_.shards == 1 || n <= 1) {
     // Serial reference loop: step + fold per cell, in cell-id order.
     CellTick scratch;
     for (Cell& c : cells_) {
-      step_cell(c, now, scratch);
+      step_cell(c, instant, scratch);
       fold_cell(c, scratch);
     }
   } else {
@@ -412,19 +424,28 @@ void Fleet::tick() {
     Cell* cells = cells_.data();
     CellTick* ticks = tick_scratch_.data();
     pool_->run_ranges(n, pool_->workers() * 4,
-                      [this, now, cells, ticks](std::size_t begin, std::size_t end) {
+                      [this, &instant, cells, ticks](std::size_t begin, std::size_t end) {
                         for (std::size_t i = begin; i < end; ++i) {
-                          step_cell(cells[i], now, ticks[i]);
+                          step_cell(cells[i], instant, ticks[i]);
                         }
                       });
     for (std::size_t i = 0; i < n; ++i) fold_cell(cells_[i], tick_scratch_[i]);
   }
   // Aggregated supercells: one O(1) analytic term each, keyed with the
   // aggregate bit so they never collide with base-cell keys.
-  for (const Aggregate& a : aggregates_) {
-    const CellId key = a.super | HierarchicalGrid::kAggregateKeyBit;
-    cell_util_down_.add(key, analytic_util(CellArbiter::kDown, a, now));
-    cell_util_up_.add(key, analytic_util(CellArbiter::kUp, a, now));
+  if (aggregate_slots_.size() != aggregates_.size()) {
+    aggregate_slots_.clear();
+    for (const Aggregate& a : aggregates_) {
+      const CellId key = a.super | HierarchicalGrid::kAggregateKeyBit;
+      aggregate_slots_.emplace_back(&cell_util_down_.group(key), &cell_util_up_.group(key));
+    }
+  }
+  const DemandModel::Demand expected = demand_.expected_at(now);
+  for (std::size_t i = 0; i < aggregates_.size(); ++i) {
+    cell_util_down_.add(*aggregate_slots_[i].first,
+                        analytic_util(CellArbiter::kDown, aggregates_[i], expected));
+    cell_util_up_.add(*aggregate_slots_[i].second,
+                      analytic_util(CellArbiter::kUp, aggregates_[i], expected));
   }
   foreground_down_mbps_.add(access_->downlink_capacity(now).bits_per_second() / 1e6);
   foreground_up_mbps_.add(access_->uplink_capacity(now).bits_per_second() / 1e6);

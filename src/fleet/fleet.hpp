@@ -14,9 +14,13 @@
 // Background terminals are deliberately *not* packet-level: their demand is
 // a pure function of (terminal seed, time) and their effect on the
 // foreground is entirely through the arbiter's allocation. That is what
-// makes 10k terminals tractable — the per-epoch cost is O(terminals) hash
-// evaluations plus O(active) water-filling, with no extra events per
-// terminal.
+// makes 10k terminals tractable. Per epoch, each hot-cell terminal costs
+// one demand evaluation (up to four counter hashes; the diurnal factor is
+// computed once per epoch), an indexed demand write into its arbiter and,
+// when active, one sample recorded through a cached KeyedSamples handle —
+// no key or id lookups. On top of that come an O(active log active)
+// water-fill in cells whose demand changed and one O(1) analytic term per
+// aggregate. There are no extra events per terminal.
 //
 // Continental scale adds two more levers on top (both off by default):
 //
@@ -139,10 +143,12 @@ class Fleet final : public leo::CellShareModel {
   /// Supercell-id ordered; empty unless config().aggregate_idle.
   [[nodiscard]] const std::vector<Aggregate>& aggregates() const { return aggregates_; }
   [[nodiscard]] std::uint64_t aggregated_terminal_count() const;
-  /// The analytic utilization term for one aggregate at time t (clamped to
-  /// the ambient floor/ceiling; composes with load-surge overrides exactly
-  /// like a hot arbiter: util = max(analytic, override)).
-  [[nodiscard]] double analytic_util(int direction, const Aggregate& a, TimePoint t) const;
+  /// The analytic utilization term for one aggregate at time t, given
+  /// `expected` = demand_model().expected_at(t) (clamped to the ambient
+  /// floor/ceiling; composes with load-surge overrides exactly like a hot
+  /// arbiter: util = max(analytic, override)).
+  [[nodiscard]] double analytic_util(int direction, const Aggregate& a,
+                                     const DemandModel::Demand& expected) const;
 
   // --- measured vantages (measure::MultiVantageCampaign) ---------------
   /// Attaches a measured vantage terminal — an elastic member, like the
@@ -206,6 +212,11 @@ class Fleet final : public leo::CellShareModel {
     std::unique_ptr<leo::HandoverScheduler> scheduler;
     leo::SatIndex last_sat{};
     bool had_sat = false;
+    /// Handles into cell_util_{down,up}_ and, per background member,
+    /// terminal_down_mbps_; each stays null until its key's first sample.
+    stats::KeyedSamples::Group* util_down = nullptr;
+    stats::KeyedSamples::Group* util_up = nullptr;
+    std::vector<stats::KeyedSamples::Group*> terminal_down;
   };
 
   /// Per-cell epoch output, staged so sharded and serial ticks fold the
@@ -213,7 +224,8 @@ class Fleet final : public leo::CellShareModel {
   struct CellTick {
     double util_down = 0.0;
     double util_up = 0.0;
-    std::vector<std::pair<TerminalId, double>> active_down;  ///< (id, mbps)
+    /// (background member index, allocated Mbit/s) of the active members.
+    std::vector<std::pair<std::uint32_t, double>> active_down;
   };
 
   void tick();
@@ -221,9 +233,10 @@ class Fleet final : public leo::CellShareModel {
   /// and stages its samples into `out`. Touches only this cell's state (and
   /// the access's scheduler for the foreground cell), so disjoint cells may
   /// step concurrently.
-  void step_cell(Cell& c, TimePoint now, CellTick& out);
-  /// Folds one staged epoch into the keyed distributions (sim thread only).
-  void fold_cell(const Cell& c, const CellTick& t);
+  void step_cell(Cell& c, const DemandModel::Instant& now, CellTick& out);
+  /// Folds one staged epoch into the keyed distributions, creating the
+  /// cell's handles on first use (sim thread only).
+  void fold_cell(Cell& c, const CellTick& t);
   void publish_stats();
   void update_shape_gauges();
   [[nodiscard]] Cell* find_cell(CellId id);
@@ -253,6 +266,10 @@ class Fleet final : public leo::CellShareModel {
   std::unique_ptr<leo::Constellation> constellation_;
   std::vector<Cell> cells_;  ///< hot cells, cell-id ordered
   std::vector<Aggregate> aggregates_;
+  /// (down, up) cell_util handles parallel to aggregates_; cleared whenever
+  /// aggregates_ changes and rebuilt by the next tick.
+  std::vector<std::pair<stats::KeyedSamples::Group*, stats::KeyedSamples::Group*>>
+      aggregate_slots_;
   struct Vantage {
     TerminalId id = 0;
     CellId cell = 0;

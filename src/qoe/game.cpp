@@ -24,16 +24,16 @@ bool LagDetector::add(double rtt_ms) {
     spike = rtt_ms > med * config_.factor && rtt_ms > med + config_.floor_ms;
   }
   window_.push_back(rtt_ms);
-  if (static_cast<int>(window_.size()) > config_.window) window_.pop_front();
+  sorted_.insert(std::upper_bound(sorted_.begin(), sorted_.end(), rtt_ms), rtt_ms);
+  if (static_cast<int>(window_.size()) > config_.window) {
+    sorted_.erase(std::lower_bound(sorted_.begin(), sorted_.end(), window_.front()));
+    window_.pop_front();
+  }
   return spike;
 }
 
 double LagDetector::median() const {
-  if (window_.empty()) return 0.0;
-  std::vector<double> tmp(window_.begin(), window_.end());
-  const std::size_t mid = tmp.size() / 2;
-  std::nth_element(tmp.begin(), tmp.begin() + static_cast<std::ptrdiff_t>(mid), tmp.end());
-  return tmp[mid];
+  return sorted_.empty() ? 0.0 : sorted_[sorted_.size() / 2];
 }
 
 GameSession::GameSession(sim::Host& client, sim::Host& server, Config config)

@@ -50,11 +50,13 @@ class LagDetector {
   /// steps, matching how players perceive lag.)
   [[nodiscard]] bool add(double rtt_ms);
 
+  /// Median of the window (the upper one of an even count).
   [[nodiscard]] double median() const;
 
  private:
   Config config_;
-  std::deque<double> window_;
+  std::deque<double> window_;  ///< arrival order, for eviction
+  std::vector<double> sorted_;  ///< the same samples in ascending order
 };
 
 class GameSession {

@@ -7,9 +7,13 @@ namespace slp::stats {
 
 KeyedSamples::KeyedSamples(std::vector<double> edges) : edges_{std::move(edges)} {}
 
-void KeyedSamples::add(std::uint64_t key, double x) {
+KeyedSamples::Group& KeyedSamples::group(std::uint64_t key) {
   Group& g = groups_[key];
   if (g.counts.empty()) g.counts.assign(edges_.size() + 1, 0);
+  return g;
+}
+
+void KeyedSamples::add(Group& g, double x) {
   g.summary.add(x);
   const auto it = std::upper_bound(edges_.begin(), edges_.end(), x);
   ++g.counts[static_cast<std::size_t>(it - edges_.begin())];
@@ -20,8 +24,7 @@ void KeyedSamples::merge(const KeyedSamples& other) {
   if (groups_.empty() && edges_.empty()) edges_ = other.edges_;
   const bool compatible = edges_ == other.edges_;
   for (const auto& [key, from] : other.groups_) {
-    Group& into = groups_[key];
-    if (into.counts.empty()) into.counts.assign(edges_.size() + 1, 0);
+    Group& into = group(key);
     into.summary.merge(from.summary);
     if (compatible) {
       for (std::size_t i = 0; i < into.counts.size() && i < from.counts.size(); ++i) {

@@ -13,6 +13,13 @@
 // edges (or be empty/edge-less, in which case the other side's edges are
 // adopted) — in this codebase the edges come from config, so shards always
 // agree.
+//
+// Slot handles: group(key) returns the key's Group, creating it on first
+// use, and add(Group&, x) records into it without a key lookup. Groups live
+// in std::map nodes, which never move, so a handle stays valid for the life
+// of the KeyedSamples (through later inserts and merges into it). Take a
+// handle only when a sample follows: a group with no samples still counts
+// in size(), groups() and every export.
 #pragma once
 
 #include <cstdint>
@@ -39,7 +46,12 @@ class KeyedSamples {
     std::vector<std::uint64_t> counts;  ///< size = edges.size() + 1
   };
 
-  void add(std::uint64_t key, double x);
+  /// The key's group, created (with zeroed bucket counts) on first use.
+  /// The reference is a stable handle (see file comment).
+  [[nodiscard]] Group& group(std::uint64_t key);
+  /// Records x into a group of this KeyedSamples.
+  void add(Group& g, double x);
+  void add(std::uint64_t key, double x) { add(group(key), x); }
 
   /// Key-ordered deterministic fold (found by ADL from runner::run_merged
   /// through the campaign Results that embed KeyedSamples).

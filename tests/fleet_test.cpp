@@ -6,8 +6,9 @@
 // conservation, weight monotonicity, no starvation; epoch accounting;
 // load-surge override composition), and the Fleet/FleetCampaign integration
 // (size-1 fallback bit-identity to the legacy LoadProcess path, the fig5
-// speedtest pin, queue-drain termination under packet campaigns, and
-// --jobs invariance of the merged campaign).
+// speedtest pin, queue-drain termination under packet campaigns, --jobs
+// invariance of the merged campaign, and a golden digest of the exports of
+// a migrating continental fleet).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -619,6 +620,100 @@ TEST(Fleet, VantagesPinCellsHotAndSplitTheElasticPool) {
   EXPECT_NE(fleet.arbiter(fleet.vantage_cell(v1)), nullptr)
       << "pinned cells survive demotion";
   EXPECT_EQ(fleet.cell_count(), hot0 + 1);
+}
+
+// ------------------------------------------------------ golden exports
+
+/// FNV-1a over the raw bytes of everything a fleet exports.
+class ExportDigest {
+ public:
+  void u64(std::uint64_t v) { bytes(&v, sizeof v); }
+  void f64(double v) { bytes(&v, sizeof v); }
+  void keyed(const stats::KeyedSamples& ks) {
+    u64(ks.size());
+    for (const auto& [key, g] : ks.groups()) {
+      u64(key);
+      u64(g.summary.count());
+      f64(g.summary.sum());
+      f64(g.summary.mean());
+      f64(g.summary.min());
+      f64(g.summary.max());
+      for (std::uint64_t c : g.counts) u64(c);
+    }
+  }
+  void samples(const stats::Samples& s) {
+    u64(s.size());
+    for (double v : s.values()) f64(v);
+  }
+  [[nodiscard]] std::uint64_t value() const { return h_; }
+
+ private:
+  void bytes(const void* p, std::size_t n) {
+    const auto* b = static_cast<const unsigned char*>(p);
+    for (std::size_t i = 0; i < n; ++i) {
+      h_ ^= b[i];
+      h_ *= 1099511628211ull;
+    }
+  }
+  std::uint64_t h_ = 14695981039346656037ull;
+};
+
+/// A 100k-terminal continental fleet with one vantage (Amsterdam) whose
+/// foreground tours two cells that are alone in their supercells (at the
+/// placement's western and eastern edges) and returns home. Every crossing
+/// promotes one cell and demotes another, and the middle one erases one
+/// aggregate while inserting another, so the aggregate list keeps its
+/// length but shifts.
+std::uint64_t continental_tour_digest(int shards) {
+  sim::Simulator sim{42};
+  sim::Network net{sim};
+  leo::StarlinkAccess access{net, {}};
+  Fleet::Config config;
+  config.size = 100'000;
+  config.placement = Placement::continental_europe();
+  config.aggregate_idle = true;
+  config.supercell_factor = 2;
+  config.shards = shards;
+  const Duration leg = Duration::seconds(60);
+  sim.schedule_in(leg * 4, [] {});  // keeps the epoch timer armed
+  Fleet fleet{sim, access, config};
+  (void)fleet.add_vantage(leo::GeoPoint{52.37, 4.90});
+
+  const leo::GeoPoint west{37.8777, -9.9772};
+  const leo::GeoPoint east{40.4676, 31.9149};
+  sim.run_for(leg);
+  EXPECT_TRUE(fleet.set_foreground_position(west, sim.now()));
+  const std::size_t supercells = fleet.aggregates().size();
+  sim.run_for(leg);
+  EXPECT_TRUE(fleet.set_foreground_position(east, sim.now()));
+  EXPECT_EQ(fleet.aggregates().size(), supercells) << "one aggregate erased, one inserted";
+  sim.run_for(leg);
+  EXPECT_TRUE(fleet.set_foreground_position(access.config().terminal, sim.now()));
+  sim.run_for(leg);
+
+  ExportDigest d;
+  d.keyed(fleet.cell_util(CellArbiter::kDown));
+  d.keyed(fleet.cell_util(CellArbiter::kUp));
+  d.keyed(fleet.terminal_down_mbps());
+  d.samples(fleet.foreground_down_mbps());
+  d.samples(fleet.foreground_up_mbps());
+  const CellArbiter::Stats t = fleet.totals();
+  for (std::uint64_t v : {t.attaches, t.detaches, t.handovers, t.reallocations, t.epoch,
+                          fleet.epochs()}) {
+    d.u64(v);
+  }
+  return d.value();
+}
+
+TEST(Fleet, GoldenContinentalExportsAcrossMigration) {
+  // Computed with the lookup-based epoch loop (a map lookup per sample, an
+  // id search per arbiter member). The epoch fast path must reproduce every
+  // exported byte, serial and sharded alike.
+  constexpr std::uint64_t kGolden = 0xc42bfc778e85dc81ull;
+  for (const int shards : {1, 4}) {
+    const std::uint64_t digest = continental_tour_digest(shards);
+    EXPECT_EQ(digest, kGolden) << "shards " << shards << ": digest 0x" << std::hex << digest;
+  }
 }
 
 }  // namespace

@@ -9,7 +9,11 @@
 // nothing (--fast-forward=0|1 equivalence) for all three campaigns.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+#include <random>
 #include <string>
+#include <vector>
 
 #include "measure/qoe_campaign.hpp"
 #include "obs/recorder.hpp"
@@ -59,6 +63,35 @@ TEST(LagDetector, FlagsStepsNotSustainedShifts) {
   bool tail_spike = false;
   for (int i = 0; i < 40; ++i) tail_spike = det.add(400.0);
   EXPECT_FALSE(tail_spike);
+}
+
+TEST(LagDetector, MedianMatchesNthElementOverRandomStreams) {
+  // The detector keeps a sorted copy of its window; the reference copies the
+  // FIFO and runs nth_element at the same (upper-median) rank. Small integer
+  // alphabets force duplicates, and 400 samples turn every window over many
+  // times.
+  std::mt19937_64 gen{2024};
+  for (const int window : {1, 2, 4, 33}) {
+    for (const int alphabet : {3, 50, 1'000'000}) {
+      qoe::LagDetector::Config config;
+      config.window = window;
+      qoe::LagDetector det{config};
+      std::deque<double> ref;
+      std::uniform_int_distribution<int> pick{0, alphabet - 1};
+      for (int i = 0; i < 400; ++i) {
+        const double rtt = 20.0 + 0.5 * pick(gen);
+        (void)det.add(rtt);
+        ref.push_back(rtt);
+        if (static_cast<int>(ref.size()) > window) ref.pop_front();
+        std::vector<double> tmp(ref.begin(), ref.end());
+        const auto mid = static_cast<std::ptrdiff_t>(tmp.size() / 2);
+        std::nth_element(tmp.begin(), tmp.begin() + mid, tmp.end());
+        ASSERT_EQ(det.median(), tmp[static_cast<std::size_t>(mid)])
+            << "window " << window << ", alphabet " << alphabet << ", sample " << i;
+      }
+    }
+  }
+  EXPECT_EQ(qoe::LagDetector{}.median(), 0.0) << "an empty window has median 0";
 }
 
 // ---------------------------------------------------- campaign smoke + merge

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "stats/ecdf.hpp"
+#include "stats/groupby.hpp"
 #include "stats/histogram.hpp"
 #include "stats/moods_test.hpp"
 #include "stats/quantiles.hpp"
@@ -299,6 +300,38 @@ TEST(TextTable, NumberFormatting) {
   EXPECT_EQ(TextTable::num(3.14159, 2), "3.14");
   EXPECT_EQ(TextTable::num(2.0, 0), "2");
   EXPECT_EQ(TextTable::pct(0.0156), "1.56%");
+}
+
+// ------------------------------------------------------------ KeyedSamples
+
+TEST(KeyedSamples, GroupHandleSurvivesInsertsAndMerges) {
+  // A handle taken before other keys are inserted around it and before a
+  // merge adds to the same key records exactly what add(key, x) would.
+  KeyedSamples by_handle{{1.0, 2.0}};
+  KeyedSamples by_key{{1.0, 2.0}};
+  KeyedSamples::Group& g = by_handle.group(50);
+  KeyedSamples other{{1.0, 2.0}};
+  for (std::uint64_t key = 0; key < 100; ++key) other.add(key, 0.1 * static_cast<double>(key));
+  for (KeyedSamples* ks : {&by_handle, &by_key}) {
+    for (std::uint64_t key = 0; key < 100; key += 3) ks->add(key, 1.5);
+    ks->merge(other);
+  }
+  for (const double x : {0.5, 2.5, 1.0}) {
+    by_handle.add(g, x);
+    by_key.add(50, x);
+  }
+  ASSERT_EQ(by_handle.size(), by_key.size());
+  auto it = by_key.groups().begin();
+  for (const auto& [key, group] : by_handle.groups()) {
+    EXPECT_EQ(key, it->first);
+    EXPECT_EQ(group.summary.count(), it->second.summary.count());
+    EXPECT_EQ(group.summary.sum(), it->second.summary.sum());
+    EXPECT_EQ(group.counts, it->second.counts);
+    ++it;
+  }
+  EXPECT_EQ(&g, &by_handle.groups().at(50)) << "the handle still names the key's group";
+  EXPECT_EQ(g.summary.count(), 4u);  // one merged sample + three via the handle
+  EXPECT_EQ(g.counts.size(), 3u);
 }
 
 }  // namespace
